@@ -37,7 +37,8 @@ import numpy as np
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
 from ..cuda.context import CTX_OPS
 from ..cuda.dim3 import Dim3, as_dim3
-from ..sim.memsys import block_bank_conflicts, coalesce_block_access
+from ..sim.memsys import (
+    block_bank_conflicts, coalesce_block_access, const_broadcast_cycles)
 from ..trace.instr import InstrClass
 from ..trace.trace import KernelTrace
 from .symbolic import (
@@ -441,24 +442,9 @@ class LintContext:
         value = index_sym.concrete_value()
         if value is None:
             return
-        nthreads = mask.shape[0]
         words = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                                (nthreads,))
-        group = self.spec.coalesce_group
-        group_share = group / self.spec.warp_size
-        pad = (-nthreads) % group
-        w = np.concatenate([words, np.zeros(pad, np.int64)]) if pad \
-            else words
-        m = np.concatenate([mask, np.zeros(pad, bool)]) if pad else mask
-        rows_w = w.reshape(-1, group)
-        rows_m = m.reshape(-1, group)
-        extra = 0.0
-        for r in range(rows_w.shape[0]):
-            if not rows_m[r].any():
-                continue
-            distinct = len(np.unique(rows_w[r][rows_m[r]]))
-            extra += (distinct - 1) * (
-                self.spec.timing.issue_cycles_per_warp_inst * group_share)
+                                mask.shape)
+        extra = const_broadcast_cycles(words, mask, self.spec)
         if extra:
             self.census.record_shared_conflict(extra)
 

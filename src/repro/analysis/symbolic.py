@@ -31,7 +31,8 @@ from typing import Dict, FrozenSet, Optional, Tuple, Union
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..sim.memsys import bank_conflict_degree, coalesce_half_warp
+from ..sim.memsys import (
+    bank_conflict_degree, coalesce_half_warp, group_rows)
 
 #: taint labels
 BLOCK_COORD = "block-coord"
@@ -470,34 +471,25 @@ def classify_global(index: SymLike, mask: Optional[np.ndarray],
     if value is None:
         return "data-dependent", None
     lanes = np.broadcast_to(np.asarray(value, dtype=np.int64),
-                            (nthreads,)).copy()
+                            (nthreads,))
     active = np.ones(nthreads, dtype=bool) if mask is None \
         else np.asarray(mask, dtype=bool)
-
-    group = spec.coalesce_group
-    pad = (-nthreads) % group
-    if pad:
-        lanes = np.concatenate([lanes, np.zeros(pad, dtype=np.int64)])
-        active = np.concatenate([active, np.zeros(pad, dtype=bool)])
-    addr_rows = (lanes * itemsize).reshape(-1, group)
-    act_rows = active.reshape(-1, group)
+    addr_rows, act_rows = group_rows(lanes * itemsize, active,
+                                     spec.coalesce_group)
+    result = coalesce_half_warp(addr_rows, act_rows, itemsize, spec)
+    # <= 1 active lane costs one transaction either way, which is
+    # exactly what a coalesced access costs — not a hazard.
+    hazard = ~np.asarray(result.coalesced) & (act_rows.sum(axis=1) > 1)
+    if not hazard.any():
+        return "coalesced", True
 
     worst = "coalesced"
-    all_coalesced = True
     order = ["coalesced", "broadcast", "misaligned", "strided", "irregular"]
 
     def rank(p: str) -> int:
         return order.index(p.split("(")[0])
 
-    for addrs, act in zip(addr_rows, act_rows):
-        if not act.any():
-            continue
-        result = coalesce_half_warp(addrs, act, itemsize, spec)
-        # <= 1 active lane costs one transaction either way, which is
-        # exactly what a coalesced access costs — not a hazard.
-        if result.coalesced or int(act.sum()) <= 1:
-            continue
-        all_coalesced = False
+    for addrs, act in zip(addr_rows[hazard], act_rows[hazard]):
         vals = addrs[act] // itemsize
         if np.ptp(vals) == 0:
             label = "broadcast"
@@ -510,8 +502,6 @@ def classify_global(index: SymLike, mask: Optional[np.ndarray],
                 label = "irregular"
         if rank(label) > rank(worst):
             worst = label
-    if all_coalesced:
-        return "coalesced", True
     return worst, False
 
 
@@ -533,6 +523,7 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     if sym.is_opaque:
         return "data-dependent", None
     nbanks = spec.shared_mem_banks
+    hw = spec.shared_access_group
     active = np.ones(nthreads, dtype=bool) if mask is None \
         else np.asarray(mask, dtype=bool)
     value = sym.concrete_value()
@@ -540,18 +531,8 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     if value is not None:
         words = np.broadcast_to(np.asarray(value, dtype=np.int64),
                                 (nthreads,)) * word_scale + word_offset
-        hw = spec.shared_access_group
-        pad = (-nthreads) % hw
-        w = np.concatenate([words, np.zeros(pad, dtype=np.int64)]) \
-            if pad else words
-        a = np.concatenate([active, np.zeros(pad, dtype=bool)]) \
-            if pad else active
-        degree = 0
-        for row_w, row_a in zip(w.reshape(-1, hw), a.reshape(-1, hw)):
-            if row_a.any():
-                degree = max(degree,
-                             bank_conflict_degree(row_w, row_a, spec))
-        degree = max(degree, 1)
+        degree = int(np.max(bank_conflict_degree(
+            *group_rows(words, active, hw), spec), initial=1))
         return ("conflict-free" if degree <= 1
                 else f"{degree}-way"), degree
 
@@ -562,17 +543,12 @@ def classify_shared(index: SymLike, mask: Optional[np.ndarray],
     residues = (np.broadcast_to(np.asarray(sym.lanes, dtype=np.int64),
                                 (nthreads,)) * word_scale
                 + word_offset) % nbanks
-    hw = spec.shared_access_group
-    pad = (-nthreads) % hw
-    r = np.concatenate([residues, np.zeros(pad, dtype=np.int64)]) \
-        if pad else residues
-    a = np.concatenate([active, np.zeros(pad, dtype=bool)]) \
-        if pad else active
-    for row_r, row_a in zip(r.reshape(-1, hw), a.reshape(-1, hw)):
-        vals = row_r[row_a]
-        if vals.size and np.unique(vals).size != vals.size:
-            # two lanes share a bank but their unknown words may differ
-            return "data-dependent", None
+    r, a = group_rows(residues, active, hw)
+    # inactive lanes get distinct negative keys so they never collide
+    keys = np.sort(np.where(a, r, -1 - np.arange(hw)), axis=1)
+    if (np.diff(keys, axis=1) == 0).any():
+        # two lanes share a bank but their unknown words may differ
+        return "data-dependent", None
     return "conflict-free", 1
 
 

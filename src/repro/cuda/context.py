@@ -46,6 +46,7 @@ from ..sim.memsys import (
     DirectMappedCache,
     block_bank_conflicts,
     coalesce_block_access,
+    const_broadcast_cycles,
 )
 from .dim3 import Dim3
 from .memory import (
@@ -620,26 +621,7 @@ class BlockContext:
         arr.check_bounds(idx, mask)
         self._emit(cls)
         if self.trace is not None and space == "const":
-            # The constant cache broadcasts ONE word per cycle to each
-            # coalescing group (a half-warp on the G80, a warp on
-            # later devices); threads reading different addresses
-            # serialize (Section 5.2's "care must be taken").
-            group = self.spec.coalesce_group
-            group_share = group / self.spec.warp_size
-            pad = (-idx.shape[0]) % group
-            words = np.concatenate([idx, np.zeros(pad, np.int64)]) \
-                if pad else idx
-            m = np.concatenate([mask, np.zeros(pad, bool)]) if pad else mask
-            rows_w = words.reshape(-1, group)
-            rows_m = m.reshape(-1, group)
-            uniform = ((rows_w == rows_w[:, :1]) | ~rows_m).all(axis=1)
-            extra = 0.0
-            for r in np.nonzero(~uniform)[0]:
-                if rows_m[r].any():
-                    distinct = len(np.unique(rows_w[r][rows_m[r]]))
-                    extra += (distinct - 1) * (
-                        self.spec.timing.issue_cycles_per_warp_inst
-                        * group_share)
+            extra = const_broadcast_cycles(idx, mask, self.spec)
             if extra:
                 self.trace.record_shared_conflict(extra)
         if self.trace is not None:

@@ -24,7 +24,7 @@ from repro.arch import (
     register_device,
     rtx_3090,
 )
-from repro.sim.memsys import CacheHierarchy, coalesce_group_access
+from repro.sim.memsys import CacheHierarchy, coalesce_half_warp
 from repro.sim.occupancy import compute_occupancy
 
 
@@ -103,7 +103,7 @@ class TestGenerationCapabilities:
 def _group_access(spec, addresses):
     addrs = np.asarray(addresses, dtype=np.int64)
     active = np.ones(spec.coalesce_group, dtype=bool)
-    return coalesce_group_access(addrs, active, 4, spec)
+    return coalesce_half_warp(addrs, active, 4, spec)
 
 
 class TestCoalescingRules:
@@ -139,14 +139,14 @@ class TestCoalescingRules:
         addrs = perm * 4   # a permutation of one 128 B region at 0
 
         fermi = gtx_480()
-        res = coalesce_group_access(addrs, np.ones(32, bool), 4, fermi)
+        res = coalesce_half_warp(addrs, np.ones(32, bool), 4, fermi)
         assert res.coalesced
         assert res.transactions == 1          # one 128 B line
         assert res.bus_bytes == fermi.cache_line_bytes
 
         g80 = geforce_8800_gtx()
         for half in (addrs[:16], addrs[16:]):
-            r = coalesce_group_access(half, np.ones(16, bool), 4, g80)
+            r = coalesce_half_warp(half, np.ones(16, bool), 4, g80)
             if np.array_equal(np.sort(half), half):
                 continue   # a half happened to stay in thread order
             assert not r.coalesced
@@ -158,7 +158,7 @@ class TestCoalescingRules:
         spec = gtx_480()
         line = spec.cache_line_bytes
         addrs = np.arange(32, dtype=np.int64) * stride_lines * line
-        res = coalesce_group_access(addrs, np.ones(32, bool), 4, spec)
+        res = coalesce_half_warp(addrs, np.ones(32, bool), 4, spec)
         assert res.transactions == 32          # one line per thread
         assert res.coalesced is False
         assert res.bus_bytes == 32 * line
