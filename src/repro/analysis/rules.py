@@ -20,9 +20,9 @@ The rules mirror the paper's optimization checklist:
   (serialized broadcast).
 * **R4 resources** — occupancy from register/shared pressure, cliff
   and low-occupancy advisories (Section 4.2).
-* **R5 batch safety** — constructs that break the
-  ``BatchedExecutor``'s all-blocks-at-once widening, cross-checked
-  against the kernel's declared ``batchable`` flag.
+* **R5 batch safety** — constructs that break whole-grid compiled
+  execution (every block of a launch at once), cross-checked against
+  the kernel's declared ``batchable`` flag.
 * **R6 compilability** — whether the grid compiler
   (:mod:`repro.compile`) can lower the kernel to a whole-grid
   program; failures are INFO findings naming the construct so the
@@ -114,11 +114,11 @@ RULES: Tuple[RuleInfo, ...] = (
              "occupancy from register/shared pressure, cliffs and "
              "low-occupancy advisories"),
     RuleInfo("R5", "batch safety", ("batch-safety",), "info-high",
-             "constructs that break BatchedExecutor widening, checked "
-             "against the kernel's declared batchable flag"),
+             "constructs that break whole-grid compiled execution, "
+             "checked against the kernel's declared batchable flag"),
     RuleInfo("R6", "compilability", ("compile",), "info",
              "whether the grid compiler can lower the kernel; failures "
-             "name the construct behind the interpreter fallback"),
+             "name the construct behind the sequential fallback"),
     RuleInfo("R7", "launch dataflow", ("launch-dataflow",), "info",
              "cross-launch global def-use chains: fusable-private vs "
              "loop-carried intermediates (fusion legality)"),
@@ -522,7 +522,7 @@ def rule_batch_safety(hazards: List[HazardEvent], kernel: str,
         findings.append(Finding(
             "batch-safety", Severity.MEDIUM, kernel,
             "declared batchable=False but no construct that breaks "
-            "batched execution was found — flag may be stale"))
+            "whole-grid execution was found — flag may be stale"))
     elif not declared and hazards:
         labels = ", ".join(_HAZARD_LABELS.get(k, k) for k in kinds)
         findings.append(Finding(
@@ -547,14 +547,14 @@ def _compile_status_safe(kernel) -> Tuple[bool, str]:
 def rule_compilability(kernel, name: str) -> List[Finding]:
     """INFO when the grid compiler cannot lower the kernel — the
     ``compiled`` executor (and ``executor="auto"``) will fall back to
-    the batched interpreter for it.  Silent on success."""
+    the sequential backend for it.  Silent on success."""
     ok, reason = _compile_status_safe(kernel)
     if ok:
         return []
     return [Finding(
         "compile", Severity.INFO, name,
         f"not grid-compilable ({reason}); the compiled executor falls "
-        f"back to the batched interpreter")]
+        f"back to the sequential backend")]
 
 
 # ----------------------------------------------------------------------

@@ -190,8 +190,8 @@ class Application(abc.ABC):
     verify_atol: float = 1e-5
     #: execution backend for this app's launches — anything accepted by
     #: :func:`repro.cuda.executors.resolve_executor`.  ``"auto"`` picks
-    #: the block-batched backend for functional sweeps of batchable
-    #: kernels and the reference sequential backend otherwise.
+    #: the compiled whole-grid backend for functional sweeps of
+    #: batchable kernels and the reference sequential backend otherwise.
     executor: object = "auto"
 
     def __init__(self, spec: DeviceSpec = DEFAULT_DEVICE) -> None:
@@ -207,11 +207,30 @@ class Application(abc.ABC):
     def reference(self, workload: Dict[str, object]) -> Dict[str, np.ndarray]:
         """Pure NumPy ground-truth implementation."""
 
-    @abc.abstractmethod
     def run(self, workload: Dict[str, object],
             device: Optional[Device] = None,
             functional: bool = True) -> AppRun:
-        """Execute the ported kernels on the simulated device."""
+        """Execute the ported kernels on the simulated device.
+
+        By default this walks :meth:`module_schedule` launch by launch
+        on the app's :attr:`executor`; apps without a schedule
+        override it."""
+        from ..compile.module import HostStep
+        schedule = self.module_schedule(workload, device, functional)
+        if schedule is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} declares no module_schedule() "
+                f"and must override run()")
+        launches = []
+        for step in schedule.steps:
+            if isinstance(step, HostStep):
+                step.fn()
+            else:
+                launches.append(step.execute(self.executor))
+        outputs = schedule.outputs() if functional and schedule.outputs \
+            else {}
+        return self._finish(workload, launches, schedule.device, outputs,
+                            time_steps_scale=schedule.time_steps_scale)
 
     def lint_targets(self) -> List["LintTarget"]:
         """Representative kernel launches for the static analyzer
@@ -222,16 +241,18 @@ class Application(abc.ABC):
         return []
 
     def module_schedule(self, workload: Dict[str, object],
-                        device: Optional[Device] = None):
+                        device: Optional[Device] = None,
+                        functional: bool = True):
         """Declare this app's launch sequence as a
-        :class:`~repro.compile.module.ModuleSchedule` for whole-
-        application AOT execution: allocate/upload the device arrays,
-        build every :class:`~repro.cuda.plan.LaunchPlan` up front
-        (plan construction is side-effect-free), wrap host logic
-        between launches in ``HostStep`` entries, and return the
-        schedule — or ``None`` (the default) when the app has no
-        multi-launch structure worth fusing; :meth:`run_module` then
-        falls back to :meth:`run`."""
+        :class:`~repro.compile.module.ModuleSchedule`: allocate/upload
+        the device arrays, build every :class:`~repro.cuda.plan.LaunchPlan`
+        up front (plan construction is side-effect-free; ``functional``
+        is passed to each), wrap host logic between launches in
+        ``HostStep`` entries, and return the schedule.  :meth:`run`
+        executes it launch by launch and :meth:`run_module` through
+        fusion, so both paths share one description.  ``None`` (the
+        default) means the app has no multi-launch structure worth
+        fusing and overrides :meth:`run` instead."""
         return None
 
     def run_module(self, workload: Optional[Dict[str, object]] = None,

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cuda import Device, kernel
 from ..sim.cpumodel import CpuCostParams
-from .base import Application, AppRun
+from .base import Application
 
 
 def fdtd_h_kernel():
@@ -140,7 +140,8 @@ class Fdtd(Application):
         ]
 
     def module_schedule(self, workload: Dict[str, object],
-                        device: Optional[Device] = None):
+                        device: Optional[Device] = None,
+                        functional: bool = True):
         """Declared launch sequence: ``steps`` interleaved H/E update
         launches over the same three field arrays with no host code
         between them — the canonical fully-fusable timestep loop
@@ -163,10 +164,10 @@ class Fdtd(Application):
         for _ in range(steps):
             sched.append(LaunchPlan.build(
                 kh, grid, self.BLOCK, (d_ez, d_hx, d_hy, nx, ny, 0.5, 0.5),
-                device=dev, functional=True, trace_blocks=tb))
+                device=dev, functional=functional, trace_blocks=tb))
             sched.append(LaunchPlan.build(
                 ke, grid, self.BLOCK, (d_ez, d_hx, d_hy, nx, ny, 0.5),
-                device=dev, functional=True, trace_blocks=tb))
+                device=dev, functional=functional, trace_blocks=tb))
 
         def outputs() -> Dict[str, np.ndarray]:
             return {"Ez": dev.from_device(d_ez),
@@ -176,37 +177,3 @@ class Fdtd(Application):
         return ModuleSchedule(app=self.name, device=dev, steps=sched,
                               outputs=outputs,
                               time_steps_scale=total / steps)
-
-    def run(self, workload: Dict[str, object],
-            device: Optional[Device] = None,
-            functional: bool = True) -> AppRun:
-        nx, ny = int(workload["nx"]), int(workload["ny"])
-        steps = int(workload["steps"])
-        total = int(workload.get("total_steps", steps))
-        dev = self._make_device(device)
-
-        d_ez = dev.to_device(_initial_ez(nx, ny), "Ez")
-        d_hx = dev.to_device(np.zeros((ny, nx), np.float32), "Hx")
-        d_hy = dev.to_device(np.zeros((ny, nx), np.float32), "Hy")
-        kh, ke = fdtd_h_kernel(), fdtd_e_kernel()
-        grid = (nx // self.BLOCK[0], ny // self.BLOCK[1])
-        tb = int(workload.get("trace_blocks", 2))
-
-        launches = []
-        for _ in range(steps):
-            launches.append(self.launch(kh, grid, self.BLOCK,
-                                   (d_ez, d_hx, d_hy, nx, ny, 0.5, 0.5),
-                                   device=dev, functional=functional,
-                                   trace_blocks=tb))
-            launches.append(self.launch(ke, grid, self.BLOCK,
-                                   (d_ez, d_hx, d_hy, nx, ny, 0.5),
-                                   device=dev, functional=functional,
-                                   trace_blocks=tb))
-
-        outputs = {}
-        if functional:
-            outputs["Ez"] = dev.from_device(d_ez)
-            outputs["Hx"] = dev.from_device(d_hx)
-            outputs["Hy"] = dev.from_device(d_hy)
-        return self._finish(workload, launches, dev, outputs,
-                            time_steps_scale=total / steps)

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..cuda import Device, kernel
 from ..sim.cpumodel import CpuCostParams
-from .base import Application, AppRun
+from .base import Application
 
 LAYOUTS = ("aos", "soa", "texture")
 
@@ -203,7 +203,8 @@ class Lbm(Application):
         return targets
 
     def module_schedule(self, workload: Dict[str, object],
-                        device: Optional[Device] = None):
+                        device: Optional[Device] = None,
+                        functional: bool = True):
         """Declared launch sequence: ``steps`` stream-and-collide
         launches ping-ponging f_a/f_b (the swap is pure Python — no
         host step needed), except the texture layout whose inter-step
@@ -224,6 +225,8 @@ class Lbm(Application):
         inv_tau = np.float32(1.0 / 0.8)
 
         if layout == "texture":
+            # read via texture binding, write to global, then copy
+            # forward (the G80 cannot render to a bound texture)
             buf_a = dev.to_texture(f0, "f_a")
             buf_b = dev.alloc(f0.shape, np.float32, "f_b")
         else:
@@ -235,7 +238,7 @@ class Lbm(Application):
         for _ in range(steps):
             sched.append(LaunchPlan.build(
                 kern, grid, (self.BLOCK,), (src, dst, nx, ny, inv_tau),
-                device=dev, functional=True, trace_blocks=tb))
+                device=dev, functional=functional, trace_blocks=tb))
             if layout == "texture":
                 sched.append(HostStep(
                     lambda s=src, d=dst: s.data.__setitem__(
@@ -251,47 +254,3 @@ class Lbm(Application):
         return ModuleSchedule(app=self.name, device=dev, steps=sched,
                               outputs=outputs,
                               time_steps_scale=total / steps)
-
-    def run(self, workload: Dict[str, object],
-            device: Optional[Device] = None,
-            functional: bool = True) -> AppRun:
-        nx, ny = int(workload["nx"]), int(workload["ny"])
-        steps = int(workload["steps"])
-        total = int(workload.get("total_steps", steps))
-        layout = str(workload.get("layout", "soa"))
-        dev = self._make_device(device)
-
-        f0 = self._pack(_initial_f(nx, ny), layout)
-        kern = lbm_step_kernel(layout)
-        grid = (nx * ny // self.BLOCK,)
-        tb = int(workload.get("trace_blocks", 2))
-        inv_tau = np.float32(1.0 / 0.8)
-
-        if layout == "texture":
-            # ping-pong: read via texture binding, write to global, then
-            # copy forward (the G80 cannot render to a bound texture)
-            buf_a = dev.to_texture(f0, "f_a")
-            buf_b = dev.alloc(f0.shape, np.float32, "f_b")
-        else:
-            buf_a = dev.to_device(f0, "f_a")
-            buf_b = dev.alloc(f0.shape, np.float32, "f_b")
-
-        launches: List = []
-        src, dst = buf_a, buf_b
-        for _ in range(steps):
-            launches.append(self.launch(kern, grid, (self.BLOCK,),
-                                   (src, dst, nx, ny, inv_tau),
-                                   device=dev, functional=functional,
-                                   trace_blocks=tb))
-            if layout == "texture":
-                # re-bind the produced buffer as the next step's texture
-                src.data[:] = dst.data
-            else:
-                src, dst = dst, src
-
-        final = src if layout == "texture" else src
-        outputs = {}
-        if functional:
-            outputs["f"] = self._unpack(final.data.copy(), layout, nx, ny)
-        return self._finish(workload, launches, dev, outputs,
-                            time_steps_scale=total / steps)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..cuda import Device, kernel
 from ..sim.cpumodel import CpuCostParams
-from .base import Application, AppRun
+from .base import Application
 
 #: samples per constant-memory chunk (5 arrays x 4 B x 1024 = 20 KB)
 SAMPLES_PER_CHUNK = 1024
@@ -114,7 +114,8 @@ class MriFhd(Application):
              garr("FHd_r", nv), garr("FHd_i", nv), ns))]
 
     def module_schedule(self, workload: Dict[str, object],
-                        device: Optional[Device] = None):
+                        device: Optional[Device] = None,
+                        functional: bool = True):
         """Declared launch sequence: one accumulation launch per
         constant-memory chunk, staged up front exactly like
         :meth:`MriQ.module_schedule`; FHd_r/FHd_i stay device-resident
@@ -146,7 +147,7 @@ class MriFhd(Application):
                 kern, (grid,), (self.BLOCK,),
                 (c_kx, c_ky, c_kz, c_dr, c_di, d_x, d_y, d_z, d_r, d_i,
                  stop - start),
-                device=dev, functional=True, trace_blocks=tb))
+                device=dev, functional=functional, trace_blocks=tb))
             dev.reset_constant_space()
 
         def outputs() -> Dict[str, np.ndarray]:
@@ -155,40 +156,3 @@ class MriFhd(Application):
 
         return ModuleSchedule(app=self.name, device=dev, steps=sched,
                               outputs=outputs)
-
-    def run(self, workload: Dict[str, object],
-            device: Optional[Device] = None,
-            functional: bool = True) -> AppRun:
-        nv, ns = int(workload["nvoxels"]), int(workload["nsamples"])
-        dev = self._make_device(device)
-        traj, data, pos = self._data(nv, ns)
-
-        d_x = dev.to_device(pos[0], "x")
-        d_y = dev.to_device(pos[1], "y")
-        d_z = dev.to_device(pos[2], "z")
-        d_r = dev.alloc(nv, np.float32, "FHd_r")
-        d_i = dev.alloc(nv, np.float32, "FHd_i")
-        kern = mri_fhd_kernel()
-        grid = -(-nv // self.BLOCK)
-
-        launches = []
-        for start in range(0, ns, SAMPLES_PER_CHUNK):
-            stop = min(start + SAMPLES_PER_CHUNK, ns)
-            c_kx = dev.to_constant(traj[0, start:stop], "kx")
-            c_ky = dev.to_constant(traj[1, start:stop], "ky")
-            c_kz = dev.to_constant(traj[2, start:stop], "kz")
-            c_dr = dev.to_constant(data[0, start:stop], "dr")
-            c_di = dev.to_constant(data[1, start:stop], "di")
-            launches.append(self.launch(
-                kern, (grid,), (self.BLOCK,),
-                (c_kx, c_ky, c_kz, c_dr, c_di, d_x, d_y, d_z, d_r, d_i,
-                 stop - start),
-                device=dev, functional=functional,
-                trace_blocks=int(workload.get("trace_blocks", 2))))
-            dev.reset_constant_space()
-
-        outputs = {}
-        if functional:
-            outputs["FHd_r"] = dev.from_device(d_r)
-            outputs["FHd_i"] = dev.from_device(d_i)
-        return self._finish(workload, launches, dev, outputs)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cuda import Device, kernel
 from ..sim.cpumodel import CpuCostParams
-from .base import Application, AppRun
+from .base import Application
 
 #: k-space samples per constant-memory chunk (4 arrays x 4 KB = 16 KB).
 SAMPLES_PER_CHUNK = 1024
@@ -116,7 +116,8 @@ class MriQ(Application):
              garr("Qr", nv), garr("Qi", nv), ns))]
 
     def module_schedule(self, workload: Dict[str, object],
-                        device: Optional[Device] = None):
+                        device: Optional[Device] = None,
+                        functional: bool = True):
         """Declared launch sequence: one accumulation launch per
         constant-memory chunk of the k-space trajectory.  All chunks
         are staged up front (plan arguments bind at build time;
@@ -149,7 +150,7 @@ class MriQ(Application):
                 kern, (grid,), (self.BLOCK,),
                 (c_kx, c_ky, c_kz, c_p2, d_x, d_y, d_z, d_qr, d_qi,
                  stop - start),
-                device=dev, functional=True, trace_blocks=tb))
+                device=dev, functional=functional, trace_blocks=tb))
             dev.reset_constant_space()
 
         def outputs() -> Dict[str, np.ndarray]:
@@ -158,39 +159,3 @@ class MriQ(Application):
 
         return ModuleSchedule(app=self.name, device=dev, steps=sched,
                               outputs=outputs)
-
-    def run(self, workload: Dict[str, object],
-            device: Optional[Device] = None,
-            functional: bool = True) -> AppRun:
-        nv, ns = int(workload["nvoxels"]), int(workload["nsamples"])
-        dev = self._make_device(device)
-        traj, phi2, pos = self._data(nv, ns)
-
-        d_x = dev.to_device(pos[0], "x")
-        d_y = dev.to_device(pos[1], "y")
-        d_z = dev.to_device(pos[2], "z")
-        d_qr = dev.alloc(nv, np.float32, "Qr")
-        d_qi = dev.alloc(nv, np.float32, "Qi")
-        kern = mri_q_kernel()
-        grid = -(-nv // self.BLOCK)
-
-        launches = []
-        for start in range(0, ns, SAMPLES_PER_CHUNK):
-            stop = min(start + SAMPLES_PER_CHUNK, ns)
-            c_kx = dev.to_constant(traj[0, start:stop], "kx")
-            c_ky = dev.to_constant(traj[1, start:stop], "ky")
-            c_kz = dev.to_constant(traj[2, start:stop], "kz")
-            c_p2 = dev.to_constant(phi2[start:stop], "phi2")
-            launches.append(self.launch(
-                kern, (grid,), (self.BLOCK,),
-                (c_kx, c_ky, c_kz, c_p2, d_x, d_y, d_z, d_qr, d_qi,
-                 stop - start),
-                device=dev, functional=functional,
-                trace_blocks=int(workload.get("trace_blocks", 2))))
-            dev.reset_constant_space()
-
-        outputs = {}
-        if functional:
-            outputs["Qr"] = dev.from_device(d_qr)
-            outputs["Qi"] = dev.from_device(d_qi)
-        return self._finish(workload, launches, dev, outputs)

@@ -27,8 +27,8 @@ unit instead:
   reason trace memoization (``memoize=True``) is: a launch
   configuration fixes the kernel's address and control streams, which
   for the suite's kernels are data-independent.  Set
-  ``ExecutorPolicy.module_trace_replay=False`` (or
-  ``REPRO_MODULE_TRACE_REPLAY=0``) to re-trace every launch.
+  ``ExecutorPolicy.module_trace_replay=False`` to re-trace every
+  launch.
 
 * Compiled programs come through the artifact-cache-aware
   :func:`repro.compile.get_program`, so a warm on-disk cache

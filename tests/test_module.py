@@ -31,7 +31,7 @@ from repro.compile import (
     plan_context,
     use_artifact_cache,
 )
-from repro.cuda import CudaModelError, Device, LaunchPlan, kernel
+from repro.cuda import Device, LaunchPlan, kernel
 from repro.cuda.executors import ExecutorPolicy, get_policy, use_policy
 from repro.obs.registry import MetricsRegistry, use_registry
 
@@ -178,23 +178,6 @@ def test_apps_without_schedule_fall_back_to_plain_run():
 # ----------------------------------------------------------------------
 # Executor policy knobs
 # ----------------------------------------------------------------------
-
-def test_policy_from_env_overrides():
-    policy = ExecutorPolicy.from_env({
-        "REPRO_MIN_VECTOR_BLOCKS": "7",
-        "REPRO_MIN_FUSE_STEPS": "5",
-        "REPRO_MODULE_TRACE_REPLAY": "0",
-    })
-    assert policy.min_vector_blocks == 7
-    assert policy.min_fuse_steps == 5
-    assert policy.module_trace_replay is False
-    assert ExecutorPolicy.from_env({}) == ExecutorPolicy()
-
-
-def test_policy_from_env_rejects_garbage():
-    with pytest.raises(CudaModelError, match="REPRO_MIN_VECTOR_BLOCKS"):
-        ExecutorPolicy.from_env({"REPRO_MIN_VECTOR_BLOCKS": "many"})
-
 
 def test_use_policy_scopes_the_global():
     base = get_policy()
