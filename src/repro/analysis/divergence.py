@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from .ir import KernelIR, lower_kernel
+from .source import kernel_source
 
 __all__ = ["Uniformity", "join", "BranchVerdict", "SyncVerdict",
            "DivergenceAnalysis", "analyze_divergence",
@@ -231,29 +232,23 @@ def _run_dataflow(ir: KernelIR, param_seed: Uniformity
 # Entry points
 # ----------------------------------------------------------------------
 
-_CACHE: Dict[Tuple[int, Uniformity], Tuple[Callable, DivergenceAnalysis]] = {}
-
-
 def analyze_divergence(fn: Callable,
                        param_seed: Uniformity = Uniformity.UNIFORM
                        ) -> DivergenceAnalysis:
     """Run the uniformity/divergence dataflow on a kernel function (or
-    :class:`~repro.cuda.launch.Kernel`); memoized per function.
+    :class:`~repro.cuda.launch.Kernel`); memoized per code object,
+    next to its IR.
 
     ``param_seed`` is the lattice point assumed for the non-``ctx``
     parameters — UNIFORM for kernel entries (launch arguments are
     grid constants); pass VARYING when analyzing a helper that may be
     called with per-lane arguments.
     """
-    raw = getattr(fn, "fn", fn)
-    key = (id(raw), param_seed)
-    hit = _CACHE.get(key)
-    if hit is not None and hit[0] is raw:
-        return hit[1]
-    analysis = _run_dataflow(lower_kernel(raw), param_seed)
-    if len(_CACHE) > 256:
-        _CACHE.clear()
-    _CACHE[key] = (raw, analysis)
+    memo = kernel_source(fn).memo
+    key = ("divergence", param_seed)
+    analysis = memo.get(key)
+    if not isinstance(analysis, DivergenceAnalysis):
+        analysis = memo[key] = _run_dataflow(lower_kernel(fn), param_seed)
     return analysis
 
 

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import ast
 import inspect
-import textwrap
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .symbolic import (
     is_varying,
     taints_of,
 )
+from .source import kernel_source
 from .targets import LintArray, LintTarget
 
 #: iteration bound for concrete loops (largest shipped loop is the
@@ -879,6 +879,15 @@ class InterpFunc:
         return self.node.name
 
 
+def _interp_func(fn: Any) -> InterpFunc:
+    """An :class:`InterpFunc` for a Python function, its closure cells
+    bound in the root scope."""
+    source = kernel_source(fn)
+    root = Scope()
+    root.vars.update(source.env)
+    return InterpFunc(source.fdef, root, fn.__globals__, source.line_offset)
+
+
 class KernelInterp:
     """Runs one kernel function for one sample block coordinate."""
 
@@ -902,21 +911,10 @@ class KernelInterp:
     def run(self) -> Recorder:
         fn = self.target.kernel.fn
         try:
-            lines, start = inspect.getsourcelines(fn)
-        except (OSError, TypeError):
+            func = _interp_func(fn)
+        except (OSError, TypeError, SyntaxError, ValueError):
             self.recorder.note("kernel source unavailable", line=0)
             return self.recorder
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-        fdef = next(n for n in tree.body
-                    if isinstance(n, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)))
-        closure = {}
-        if fn.__closure__:
-            closure = dict(zip(fn.__code__.co_freevars,
-                               [c.cell_contents for c in fn.__closure__]))
-        root = Scope()
-        root.vars.update(closure)
-        func = InterpFunc(fdef, root, fn.__globals__, start - 1)
         args = (self.ctx,) + tuple(self.target.args)
         try:
             self._call_interp(func, args, {})
@@ -1052,19 +1050,10 @@ class KernelInterp:
         """Interpret a plain Python function reached through a closure
         (e.g. a rotate helper defined in a kernel factory)."""
         try:
-            lines, start = inspect.getsourcelines(fn)
-        except (OSError, TypeError):
+            func = _interp_func(fn)
+        except (OSError, TypeError, SyntaxError, ValueError):
             raise AnalysisLimit(
                 f"cannot interpret opaque callable {fn!r}") from None
-        tree = ast.parse(textwrap.dedent("".join(lines)))
-        fdef = next(n for n in tree.body if isinstance(n, ast.FunctionDef))
-        closure = {}
-        if fn.__closure__:
-            closure = dict(zip(fn.__code__.co_freevars,
-                               [c.cell_contents for c in fn.__closure__]))
-        root = Scope()
-        root.vars.update(closure)
-        func = InterpFunc(fdef, root, fn.__globals__, start - 1)
         return self._call_interp(func, args, kwargs)
 
     # -- statement execution --------------------------------------------

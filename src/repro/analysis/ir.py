@@ -22,24 +22,31 @@ query calls are surfaced as *seed tokens* (``"tid"``, ``"bx"``,
 ``"global_tid"``, ...) so the lattice seeding stays out of this
 module.
 
-Line numbers are absolute file lines (decorator-relative offsets are
-resolved the same way :mod:`repro.analysis.interp` and
-:mod:`repro.compile.lower` resolve theirs), so findings and compiler
-queries key on the same coordinates.
+Line numbers are absolute file lines (the offset comes from the shared
+:class:`~repro.analysis.source.KernelSource`, as in
+:mod:`repro.analysis.interp` and :mod:`repro.compile.lower`), so
+findings and compiler queries key on the same coordinates.  The IR
+depends on the source alone, never on a closure's cell values, so it
+is memoized once per code object; configuration-dependent clients
+(:mod:`repro.analysis.liveness`) evaluate the branch conditions the IR
+keeps (:attr:`Branch.test`) against their own closure environment.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cuda.context import CTX_ATTRS, CTX_OPS
+from .source import kernel_source
 
 __all__ = ["IRInstr", "Branch", "BasicBlock", "Loop", "KernelIR",
-           "lower_kernel", "kernel_source"]
+           "lower_kernel"]
+
+#: NumPy constructors (``np.zeros(ctx.nthreads)``, ...) that build
+#: per-thread arrays
+ARRAY_CTORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +61,11 @@ class IRInstr:
     their :data:`CTX_OPS` categories in ``categories``); ``seeds``
     lists the ``ctx`` identity attributes / query calls it reads
     (``"tid"``, ``"bx"``, ``"global_tid"``, ...) so a dataflow client
-    can seed lattice values without re-parsing.
+    can seed lattice values without re-parsing.  ``dests`` counts a
+    subscripted store (``a[i] = v``) as a write to ``a``; ``binds``
+    holds only the names the statement rebinds, which is what kills a
+    value in a liveness analysis.  ``array_ctor`` marks a call of a
+    NumPy array constructor (:data:`ARRAY_CTORS`).
     """
 
     line: int
@@ -63,6 +74,8 @@ class IRInstr:
     seeds: Tuple[str, ...]
     ops: Tuple[str, ...]
     categories: Tuple[str, ...]
+    binds: Tuple[str, ...] = ()
+    array_ctor: bool = False
 
     @property
     def is_sync(self) -> bool:
@@ -79,13 +92,17 @@ class Branch:
     """A conditional terminator: the block forks on ``cond``.
 
     ``kind`` is ``"masked"`` (a ``with ctx.masked(...)`` region),
-    ``"if"``, ``"loop"`` (``for``) or ``"while"``.
+    ``"if"``, ``"loop"`` (``for``) or ``"while"``; ``test`` is the
+    condition (the iterable of a ``for``).  Successor 0 of the block
+    is the taken / body path.
     """
 
     kind: str
     line: int
     srcs: Tuple[str, ...]
     seeds: Tuple[str, ...]
+    test: Optional[ast.AST] = field(default=None, compare=False,
+                                    repr=False)
 
 
 @dataclass
@@ -112,22 +129,6 @@ class Loop:
     header: int
     body: FrozenSet[int]
     line: int
-
-
-# ----------------------------------------------------------------------
-# Source acquisition (shared convention with analysis.interp)
-# ----------------------------------------------------------------------
-
-def kernel_source(fn: Callable) -> Tuple[ast.FunctionDef, int]:
-    """``(FunctionDef, line_offset)`` for a kernel function; absolute
-    file line of a node is ``line_offset + node.lineno``."""
-    fn = getattr(fn, "fn", fn)          # unwrap a Kernel wrapper
-    lines, start = inspect.getsourcelines(fn)
-    tree = ast.parse(textwrap.dedent("".join(lines)))
-    fdef = tree.body[0]
-    if not isinstance(fdef, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        raise ValueError(f"not a function definition: {fn!r}")
-    return fdef, start - 1
 
 
 # ----------------------------------------------------------------------
@@ -165,16 +166,34 @@ def _scan_expr(node: ast.AST, ctx_name: str,
                 seeds.add(meth)
 
 
+def _bound_names(target: ast.AST) -> Tuple[str, ...]:
+    """Names an assignment target rebinds (not subscript bases)."""
+    return tuple(sorted({sub.id for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)
+                         and isinstance(sub.ctx, ast.Store)}))
+
+
+def _calls_array_ctor(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Call)
+               and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr in ARRAY_CTORS
+               and isinstance(sub.func.value, ast.Name)
+               and sub.func.value.id == "np"
+               for sub in ast.walk(node))
+
+
 def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     dests: Set[str] = set()
     srcs: Set[str] = set()
     seeds: Set[str] = set()
     ops: List[str] = []
     cats: List[str] = []
+    binds: Tuple[str, ...] = ()
     value: Optional[ast.AST] = None
     if isinstance(stmt, ast.Assign):
         value = stmt.value
         for tgt in stmt.targets:
+            binds += _bound_names(tgt)
             for sub in ast.walk(tgt):
                 if isinstance(sub, ast.Name):
                     dests.add(sub.id)
@@ -183,10 +202,13 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
         if isinstance(stmt.target, ast.Name):
             dests.add(stmt.target.id)
             srcs.add(stmt.target.id)      # x += v reads x
+            binds = (stmt.target.id,)
     elif isinstance(stmt, ast.AnnAssign):
         value = stmt.value
         if isinstance(stmt.target, ast.Name):
             dests.add(stmt.target.id)
+            if value is not None:
+                binds = (stmt.target.id,)
     elif isinstance(stmt, ast.Expr):
         value = stmt.value
     elif isinstance(stmt, ast.Return):
@@ -194,13 +216,16 @@ def _classify_stmt(stmt: ast.stmt, ctx_name: str, offset: int) -> IRInstr:
     if value is not None:
         _scan_expr(value, ctx_name, srcs, seeds, ops, cats)
     # subscripted / attribute assignment targets also read names
-    if isinstance(stmt, ast.Assign):
-        for tgt in stmt.targets:
-            if not isinstance(tgt, ast.Name):
-                _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats)
+    # (``a[i] += v`` reads ``a`` and ``i``)
+    targets: List[ast.expr] = stmt.targets if isinstance(stmt, ast.Assign) \
+        else [stmt.target] if isinstance(stmt, ast.AugAssign) else []
+    for tgt in targets:
+        if not isinstance(tgt, ast.Name):
+            _scan_expr(tgt, ctx_name, srcs, seeds, ops, cats)
     return IRInstr(offset + stmt.lineno, tuple(sorted(dests)),
                    tuple(sorted(srcs)), tuple(sorted(seeds)),
-                   tuple(ops), tuple(cats))
+                   tuple(ops), tuple(cats), binds,
+                   value is not None and _calls_array_ctor(value))
 
 
 def _cond_info(node: ast.AST, ctx_name: str
@@ -300,7 +325,7 @@ class _CFGBuilder:
         srcs, seeds = _cond_info(cond, self.ctx_name)
         branch_blk = self.cur
         self.blocks[branch_blk].branch = Branch(
-            kind, self.offset + lineno, srcs, seeds)
+            kind, self.offset + lineno, srcs, seeds, cond)
         join = self.new_block()
 
         then_entry = self.new_block()
@@ -327,17 +352,20 @@ class _CFGBuilder:
         self.edge(self.cur, header)
         if isinstance(stmt, ast.For):
             kind = "loop"
-            srcs, seeds = _cond_info(stmt.iter, self.ctx_name)
+            test = stmt.iter
+            srcs, seeds = _cond_info(test, self.ctx_name)
             dests = tuple(sorted(
                 sub.id for sub in ast.walk(stmt.target)
                 if isinstance(sub, ast.Name)))
             self.blocks[header].instrs.append(IRInstr(
-                self.offset + stmt.lineno, dests, srcs, seeds, (), ()))
+                self.offset + stmt.lineno, dests, srcs, seeds, (), (),
+                _bound_names(stmt.target), _calls_array_ctor(test)))
         else:
             kind = "while"
-            srcs, seeds = _cond_info(stmt.test, self.ctx_name)
+            test = stmt.test
+            srcs, seeds = _cond_info(test, self.ctx_name)
         self.blocks[header].branch = Branch(
-            kind, self.offset + stmt.lineno, srcs, seeds)
+            kind, self.offset + stmt.lineno, srcs, seeds, test)
 
         exit_blk = self.new_block()
         body_entry = self.new_block()
@@ -428,15 +456,15 @@ class KernelIR:
         self.params = params
         self.ctx_name = ctx_name
 
-        self.reachable = self._reachable_from(entry, lambda b: b.succs)
+        self.reachable = self.reachable_from(entry, lambda b: b.succs)
         nodes = sorted(self.reachable)
         preds = {b.index: b.preds for b in blocks}
         succs = {b.index: b.succs for b in blocks}
         self.dominators = _dom_sets(nodes, entry, preds)
         self.idom = _idoms(self.dominators, entry)
         # post-dominance runs on the reversed CFG from the exit block
-        back_reachable = self._reachable_from(exit_index,
-                                              lambda b: b.preds)
+        back_reachable = self.reachable_from(exit_index,
+                                             lambda b: b.preds)
         pnodes = sorted(self.reachable & back_reachable)
         self.post_dominators = _dom_sets(
             pnodes, exit_index,
@@ -447,7 +475,9 @@ class KernelIR:
         self.loops = self._find_loops()
 
     # -- graph helpers --------------------------------------------------
-    def _reachable_from(self, start: int, nbrs) -> Set[int]:
+    def reachable_from(self, start: int,
+                       nbrs: Callable[[BasicBlock], List[int]]) -> Set[int]:
+        """Blocks reachable from ``start`` along ``nbrs`` edges."""
         seen = {start}
         work = [start]
         while work:
@@ -562,28 +592,22 @@ class KernelIR:
 # Entry point
 # ----------------------------------------------------------------------
 
-_IR_CACHE: Dict[int, KernelIR] = {}
-
-
 def lower_kernel(fn: Callable) -> KernelIR:
     """Lower a kernel function (or :class:`~repro.cuda.launch.Kernel`)
-    into its :class:`KernelIR`; memoized per function object."""
-    raw = getattr(fn, "fn", fn)
-    cached = _IR_CACHE.get(id(raw))
-    if cached is not None:
-        return cached
-    fdef, offset = kernel_source(raw)
-    args = fdef.args
-    params = tuple(a.arg for a in args.args)
+    into its :class:`KernelIR`; memoized per code object."""
+    source = kernel_source(fn)
+    ir = source.memo.get("ir")
+    if isinstance(ir, KernelIR):
+        return ir
+    fdef, offset = source.fdef, source.line_offset
+    params = tuple(a.arg for a in fdef.args.args)
     ctx_name = params[0] if params else "ctx"
     builder = _CFGBuilder(ctx_name, offset)
     builder.build(fdef.body)
     exit_index = builder._exit()
     if builder.cur is not None:
         builder.edge(builder.cur, exit_index)
-    ir = KernelIR(getattr(fn, "name", fdef.name), builder.blocks,
-                  0, exit_index, offset, params, ctx_name)
-    if len(_IR_CACHE) > 256:
-        _IR_CACHE.clear()
-    _IR_CACHE[id(raw)] = ir
+    ir = KernelIR(fdef.name, builder.blocks, 0, exit_index, offset,
+                  params, ctx_name)
+    source.memo["ir"] = ir
     return ir

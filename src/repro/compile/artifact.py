@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import inspect
 import marshal
 import os
 import pickle
@@ -65,25 +64,12 @@ def kernel_fingerprint(kernel) -> str:
     close over different constants).  Function-valued cells contribute
     their own source.  Raises :class:`CompileError` when the source is
     unavailable (interactively defined kernels are not cacheable)."""
-    fn = kernel.fn
-    h = hashlib.sha256()
+    from ..analysis.source import kernel_source
     try:
-        h.update(inspect.getsource(fn).encode())
-    except (OSError, TypeError) as exc:
+        return kernel_source(kernel).fingerprint()
+    except (OSError, TypeError, SyntaxError, ValueError) as exc:
         raise CompileError(
-            f"source of {fn.__name__!r} unavailable: {exc}") from None
-    if fn.__closure__:
-        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
-            value = cell.cell_contents
-            if isinstance(value, types.FunctionType):
-                try:
-                    part = inspect.getsource(value)
-                except (OSError, TypeError):
-                    part = repr(value.__code__.co_code)
-            else:
-                part = repr(value)
-            h.update(f"{name}={part}\n".encode())
-    return h.hexdigest()
+            f"source of {kernel.name!r} unavailable: {exc}") from None
 
 
 def artifact_key(kernel, device_name: str = "",

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import ast
 import builtins
-import inspect
-import textwrap
+import copy
 import types
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -454,26 +453,22 @@ class LoweringSession:
         return max(0, len(self._done) - 1)
 
     def _lower(self, fn, ctx_positions: Tuple[int, ...]) -> LoweredFunction:
+        from ..analysis.source import kernel_source
         try:
-            source = textwrap.dedent(inspect.getsource(fn))
+            source = kernel_source(fn)
         except (OSError, TypeError) as exc:
             raise CompileError(
                 f"source of {fn.__name__!r} unavailable: {exc}") from None
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:     # pragma: no cover - getsource quirk
+        except (SyntaxError, ValueError):
             raise CompileError(
-                f"cannot re-parse {fn.__name__!r}: {exc}") from None
-        if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
-            raise CompileError(
-                f"{fn.__name__!r} is not a plain function definition")
-        fndef = tree.body[0]
+                f"{fn.__name__!r} is not a plain function definition"
+            ) from None
+        # the lowerer rewrites in place; the parsed tree is shared
+        fndef = copy.deepcopy(source.fdef)
         fndef.decorator_list = []
 
         env = dict(fn.__globals__)
-        if fn.__closure__:
-            env.update(zip(fn.__code__.co_freevars,
-                           (c.cell_contents for c in fn.__closure__)))
+        env.update(source.env)
         ctx_names = frozenset(
             fndef.args.args[i].arg for i in ctx_positions
             if i < len(fndef.args.args))

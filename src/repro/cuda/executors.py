@@ -39,7 +39,7 @@ from ..obs.registry import get_registry
 from ..obs.spans import span
 from ..trace.collector import TraceCollector, TRACE, MEMO, PLAIN
 from .launch import LaunchResult
-from .memory import CudaModelError, DeviceArray
+from .memory import CudaModelError
 
 
 def _execute_single(plan, collector: TraceCollector, linear: int,
@@ -209,35 +209,18 @@ class CompiledExecutor(Executor):
     per kernel to the sequential backend, recorded on the
     ``executor.compile_fallbacks`` counter.
 
-    Traced blocks are handled per ``trace_source``:
-
-    ``"blocks"`` (default)
-        The grid splits into contiguous compiled segments around each
-        traced block, which runs through a scalar
-        :class:`BlockContext` at its ordered position — traces *and*
-        outputs stay bit-identical to sequential execution.
-
-    ``"census"``
-        Traced blocks also run compiled; their traces are synthesized
-        from the static :class:`~repro.analysis.census.KernelCensus`
-        of the launch geometry (one mean block trace merged per traced
-        block).  Fastest, but trace counters are the analyzer's
-        approximation and no instruction stream is recorded, so
-        stream-recording launches fall back to ``"blocks"``.
+    The grid splits into contiguous compiled segments around each
+    traced block, which runs through a scalar :class:`BlockContext` at
+    its ordered position — traces *and* outputs stay bit-identical to
+    sequential execution.
     """
 
     name = "compiled"
 
-    def __init__(self, max_lanes: int = 1 << 20,
-                 trace_source: str = "blocks") -> None:
+    def __init__(self, max_lanes: int = 1 << 20) -> None:
         if max_lanes < 1:
             raise ValueError("max_lanes must be positive")
-        if trace_source not in ("blocks", "census"):
-            raise ValueError(
-                f"trace_source must be 'blocks' or 'census', "
-                f"got {trace_source!r}")
         self.max_lanes = max_lanes
-        self.trace_source = trace_source
 
     def _run(self, plan, collector: TraceCollector) -> int:
         from ..compile import (CompileError, GridRT, get_program,
@@ -274,12 +257,6 @@ class CompiledExecutor(Executor):
                                    kernel=plan.kernel.name).observe(
                                        stop - start)
 
-        if plan.traced and self.trace_source == "census" \
-                and not plan.record_stream \
-                and self._merge_census(plan, collector):
-            run_range(0, plan.grid.size)
-            return executed
-
         # Only the traced sample needs per-block classification; every
         # other block is PLAIN by definition and runs inside a compiled
         # segment (walking all of block_ids() through classify() would
@@ -298,35 +275,6 @@ class CompiledExecutor(Executor):
         run_range(seg_start, plan.grid.size)
         collector.dispositions[PLAIN] += plan.grid.size - len(plan.traced)
         return executed
-
-    def _merge_census(self, plan, collector: TraceCollector) -> bool:
-        """Synthesize traced-block counters from the static census;
-        returns False (caller falls back to exact per-block tracing)
-        when the analyzer cannot handle the kernel."""
-        from ..analysis.census import census_target
-        from ..analysis.targets import LintArray, LintTarget
-        try:
-            args = tuple(
-                LintArray(a.name, getattr(a, "space", "global"),
-                          a.size, str(a.data.dtype))
-                if isinstance(a, DeviceArray) else a
-                for a in plan.args)
-            grid, block = plan.grid, plan.block
-            target = LintTarget(
-                kernel=plan.kernel, grid=(grid.x, grid.y, grid.z),
-                block=(block.x, block.y, block.z), args=args,
-                note="census-trace")
-            census = census_target(target, plan.spec)
-        except Exception:
-            return False
-        block_trace = census.block_trace
-        block_trace.blocks_traced = 1
-        for _linear in plan.traced:
-            collector.merged.merge(block_trace)
-            collector.dispositions[TRACE] += 1
-        collector.smem_bytes = max(collector.smem_bytes,
-                                   census.smem_bytes)
-        return True
 
 
 # ----------------------------------------------------------------------

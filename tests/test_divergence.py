@@ -3,7 +3,8 @@
 Pins the PR-9 contract surface:
 
 * the CFG/dominator IR lowers real kernels into the expected block /
-  loop / reconvergence structure;
+  loop / reconvergence structure, memoized per code object (a kernel
+  allocated where a dropped one lived never inherits its IR);
 * the uniformity lattice is a join-semilattice (hypothesis: join is
   commutative, idempotent, associative and monotone) and the interp's
   mask stack always balances (push/pop under random nesting);
@@ -21,6 +22,8 @@ Pins the PR-9 contract surface:
 """
 
 from __future__ import annotations
+
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +148,38 @@ def test_ir_lowers_branchy_kernel():
 
 def test_ir_is_memoized():
     assert lower_kernel(div_half_warp) is lower_kernel(div_half_warp)
+
+
+_ADDRESS_REUSE_SRC = """\
+def ka(ctx, out):
+    ctx.st_global(out, ctx.tid, 1.0)
+
+
+def kb(ctx, out):
+    with ctx.masked(ctx.tx < 4):
+        ctx.sync()
+"""
+
+
+def test_ir_memo_survives_function_address_reuse(tmp_path):
+    """A kernel created where a dropped one lived gets its own IR: the
+    memo is keyed on the code object, which it keeps alive, not on the
+    recyclable ``id()`` of the function."""
+    path = tmp_path / "reuse_kernels.py"
+    path.write_text(_ADDRESS_REUSE_SRC)
+    module = compile(_ADDRESS_REUSE_SRC, str(path), "exec")
+    codes = {c.co_name: c for c in module.co_consts
+             if isinstance(c, types.CodeType)}
+    for _ in range(20):
+        ka = types.FunctionType(codes["ka"], {})
+        assert lower_kernel(ka).name == "ka"
+        del ka
+        kb = types.FunctionType(codes["kb"], {})
+        ir = lower_kernel(kb)
+        assert ir.name == "kb"
+        assert len(ir.branch_blocks()) == 1
+        assert len(analyze_divergence(kb).divergent_syncs) == 1
+        del kb, ir
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,28 @@ class TestCensusAgreement:
 # Liveness register estimates
 # ----------------------------------------------------------------------
 
+#: static registers of every registered kernel (lint-target geometry)
+PINNED_REGS = {
+    "cp_potential": 9, "fdtd_update_e": 6, "fdtd_update_h": 6,
+    "fem_spmv": 6, "h264_motion_search": 8, "lbm_step_aos": 9,
+    "lbm_step_soa": 9, "lbm_step_texture": 9, "mm_naive": 6,
+    "mm_tiled_16x16": 10, "mm_tiled_unrolled_16x16": 9,
+    "mm_prefetch_16x16": 11, "mri_fhd": 13, "mri_q": 12,
+    "pns_simulate": 7, "rc5_search_emulated": 5, "rc5_search_native": 5,
+    "rpes_integral": 12, "saxpy": 3, "tpacf_histogram": 12,
+}
+
+#: the values live at the peak of the three Section 4 anecdotes
+LADDER_PEAK_NAMES = {
+    "tiled": ("acc", "av", "bv", "col", "k", "m", "row", "smem_idx",
+              "tx", "ty"),
+    "tiled_unrolled": ("acc", "av", "bv", "col", "m", "row", "smem_idx",
+                       "tx", "ty"),
+    "prefetch": ("a_reg", "acc", "av", "b_reg", "bv", "col", "m", "row",
+                 "smem_idx", "tx", "ty"),
+}
+
+
 class TestLiveness:
     def test_paper_register_anecdotes(self):
         expected = {"tiled": 10, "tiled_unrolled": 9, "prefetch": 11}
@@ -152,13 +174,22 @@ class TestLiveness:
         assert tiled.regs - unrolled.regs == 1
 
     def test_never_exceeds_declared_across_the_suite(self):
+        seen = {}
         for name in app_names():
             for target in get_app(name).lint_targets():
                 est = estimate_registers(target.kernel)
                 declared = target.kernel.regs_per_thread
+                assert not est.fallback, target.kernel.name
                 assert est.regs <= declared, \
                     f"{name}/{target.kernel.name}: static {est.regs} " \
                     f"> declared {declared} ({est.peak_names})"
+                seen[target.kernel.name] = est.regs
+        assert seen == PINNED_REGS
+
+    def test_ladder_peak_names(self):
+        for note, names in LADDER_PEAK_NAMES.items():
+            est = estimate_registers(_matmul_target(note).kernel)
+            assert est.peak_names == names, note
 
     def test_fallback_on_unanalyzable_callable(self):
         est = estimate_registers(abs)          # no source available
