@@ -20,14 +20,18 @@ and MRI-Q on both device generations, bit-identity checked) plus the
 cold-start benchmark (subprocesses timing program acquisition with no
 artifact cache, a cold cache being populated, and a warm cache).  It
 writes ``BENCH_compile.json`` and gates on fused >= 1.3x over
-per-launch execution for at least one time-sliced app and on the warm
+per-launch execution for at least one time-sliced app, on fused >=
+0.95x per-launch for *every* row (do no harm: a fused path slower than
+the per-launch one is a regression, not a trade), and on the warm
 artifact cache making cold-process startup >= 5x faster than lowering
-from source.
+from source.  Each fusion row times both paths as the median of
+``AOT_REPEATS`` alternating repeats after one warm-up run of each.
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,8 @@ COMPILED_VS_SEQ_FLOOR = 20.0
 
 #: --aot gates
 FUSED_SPEEDUP_FLOOR = 1.3          # on at least one time-sliced app
+FUSED_NO_HARM_FLOOR = 0.95         # on every fusion row
+AOT_REPEATS = 5                    # alternating unfused/fused timings
 COLD_START_FLOOR = 5.0             # lowering / warm-artifact-load
 
 
@@ -159,9 +165,15 @@ print(json.dumps({"seconds": seconds, "kernels": len(kernels),
 """
 
 
+def _median_iqr(samples):
+    q1, med, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return med, q3 - q1
+
+
 def _fusion_row(module, cls_name, workload, device_name):
-    """Time one app's per-launch compiled run vs its fused module run
-    (both warmed so the artifact cache absorbs kernel lowering)."""
+    """Time one app's per-launch compiled run vs its fused module run:
+    one warm-up of each (the artifact cache absorbs kernel lowering),
+    then ``AOT_REPEATS`` alternating pairs, reported as medians."""
     import importlib
     app_cls = getattr(importlib.import_module(module), cls_name)
     spec = device_by_name(device_name)
@@ -175,25 +187,32 @@ def _fusion_row(module, cls_name, workload, device_name):
         return app_cls(spec).run_module(dict(workload))
 
     unfused()                               # warm the artifact cache
-    t0 = perf_counter()
-    run_u = unfused()
-    t1 = perf_counter()
     fused()
-    t2 = perf_counter()
-    run_f = fused()
-    t3 = perf_counter()
+    times_u, times_f = [], []
+    for _ in range(AOT_REPEATS):
+        t0 = perf_counter()
+        run_u = unfused()
+        t1 = perf_counter()
+        run_f = fused()
+        t2 = perf_counter()
+        times_u.append(t1 - t0)
+        times_f.append(t2 - t1)
 
     identical = set(run_u.outputs) == set(run_f.outputs) and all(
         np.array_equal(run_u.outputs[k], run_f.outputs[k])
         for k in run_u.outputs)
-    unfused_s, fused_s = t1 - t0, t3 - t2
+    unfused_s, unfused_iqr = _median_iqr(times_u)
+    fused_s, fused_iqr = _median_iqr(times_f)
     stats = run_f.module.stats if run_f.module is not None else {}
     return {
         "app": run_f.app,
         "device": device_name,
         "workload": {k: v for k, v in workload.items()},
+        "repeats": AOT_REPEATS,
         "unfused_seconds": round(unfused_s, 3),
+        "unfused_iqr_seconds": round(unfused_iqr, 3),
         "fused_seconds": round(fused_s, 3),
+        "fused_iqr_seconds": round(fused_iqr, 3),
         "fused_speedup": round(unfused_s / fused_s, 2) if fused_s else 0.0,
         "modeled_gflops": round(run_f.gpu_gflops, 2),
         "effective_unfused_gflops": round(
@@ -252,12 +271,15 @@ def aot_main() -> int:
 
     sliced = [r for r in rows if r["app"] in ("lbm", "fdtd")]
     best = max(r["fused_speedup"] for r in sliced)
+    worst = min(r["fused_speedup"] for r in rows)
     report = {
         "benchmark": "aot_module_smoke",
         **run_provenance(),
         "fusion": rows,
         "fused_speedup_best": best,
         "fused_speedup_floor": FUSED_SPEEDUP_FLOOR,
+        "fused_speedup_worst": worst,
+        "fused_no_harm_floor": FUSED_NO_HARM_FLOOR,
         "cold_start": cold,
         "cold_start_floor": COLD_START_FLOOR,
     }
@@ -274,11 +296,18 @@ def aot_main() -> int:
         print(f"FAIL: best fused speedup {best:.2f}x < "
               f"{FUSED_SPEEDUP_FLOOR}x floor", file=sys.stderr)
         return 1
+    harmed = [f"{r['app']}@{r['device']} {r['fused_speedup']:.2f}x"
+              for r in rows if r["fused_speedup"] < FUSED_NO_HARM_FLOOR]
+    if harmed:
+        print(f"FAIL: fused slower than {FUSED_NO_HARM_FLOOR}x per-launch "
+              f"on {harmed}", file=sys.stderr)
+        return 1
     if cold["cold_start_speedup"] < COLD_START_FLOOR:
         print(f"FAIL: warm-cache cold start {cold['cold_start_speedup']:.2f}x "
               f"< {COLD_START_FLOOR}x floor over lowering", file=sys.stderr)
         return 1
-    print(f"OK: fused {best:.2f}x best over per-launch, warm cache "
+    print(f"OK: fused {best:.2f}x best / {worst:.2f}x worst over "
+          f"per-launch, warm cache "
           f"{cold['cold_start_speedup']:.2f}x faster cold start, "
           f"bit-identical")
     return 0

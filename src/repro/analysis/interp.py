@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch.device import DEFAULT_DEVICE, DeviceSpec
-from ..cuda.context import CTX_OPS
+from ..cuda.context import CTX_OPS, MaskStats, mask_stats
 from ..cuda.dim3 import Dim3, as_dim3
 from ..sim.memsys import (
     block_bank_conflicts, coalesce_block_access, const_broadcast_cycles)
@@ -227,10 +227,12 @@ class _MaskedCM:
     def __enter__(self) -> None:
         # BlockContext.masked issues the predicate-set and branch under
         # the parent mask, before divergence takes effect
-        self._ctx._census_branch(self._cond)
-        self._ctx._census_emit(InstrClass.SETP)
-        self._ctx._census_emit(InstrClass.BRANCH)
-        self._ctx._push_mask(self._cond)
+        ctx = self._ctx
+        entry = ctx._masked_entry(self._cond)
+        ctx._census_branch(self._cond, entry[3])
+        ctx._census_emit(InstrClass.SETP)
+        ctx._census_emit(InstrClass.BRANCH)
+        ctx._mask_stack.append(entry)
 
     def __exit__(self, *_exc) -> bool:
         self._ctx._pop_mask()
@@ -270,9 +272,11 @@ class LintContext:
         #: widens to the whole grid slice under CompiledExecutor — tainted
         self.nthreads = SymVal.concrete(T, "int", frozenset({NTHREADS}))
 
-        # (active-lane superset, exactly known?, divergent?)
-        self._mask_stack: List[Tuple[np.ndarray, bool, bool]] = [
-            (np.ones(T, dtype=bool), True, False)]
+        # (active-lane superset, exactly known?, divergent?, its
+        # MaskStats for the census)
+        base = np.ones(T, dtype=bool)
+        self._mask_stack: List[Tuple[np.ndarray, bool, bool, MaskStats]] = [
+            (base, True, False, mask_stats(base, spec.warp_size))]
         #: current barrier interval (bumped by every __syncthreads())
         self._sync_interval = 0
         self._smem_words = 0
@@ -303,31 +307,33 @@ class LintContext:
     def mask(self) -> np.ndarray:
         return self._mask_stack[-1][0]
 
-    def _push_mask(self, cond) -> None:
-        parent, parent_exact, parent_div = self._mask_stack[-1]
-        sym = as_sym(cond)
-        value = sym.concrete_value()
+    def _masked_entry(self, cond) -> Tuple[np.ndarray, bool, bool,
+                                           MaskStats]:
+        """The mask-stack entry ``ctx.masked(cond)`` pushes.  An
+        unknown condition leaves the active set some subset of the
+        parent's: the parent mask stands in, with its stats."""
+        parent, parent_exact, parent_div, parent_stats = self._mask_stack[-1]
+        value = as_sym(cond).concrete_value()
         if value is None:
-            # unknown condition: active set is some subset of parent
-            self._mask_stack.append((parent, False, True))
-            return
+            return (parent, False, True, parent_stats)
         m = parent & np.broadcast_to(
             np.asarray(value, dtype=bool), parent.shape)
         divergent = parent_div or not bool(m.all())
-        self._mask_stack.append((m, parent_exact, divergent))
+        return (m, parent_exact, divergent,
+                mask_stats(m, self.spec.warp_size, self._mask_stack[0][3]))
 
     def _pop_mask(self) -> None:
         self._mask_stack.pop()
 
     def push_unknown_branch(self) -> None:
         """Divergence frame for a data-dependent Python ``if``."""
-        parent, _exact, _div = self._mask_stack[-1]
-        self._mask_stack.append((parent, False, True))
+        parent, _exact, _div, stats = self._mask_stack[-1]
+        self._mask_stack.append((parent, False, True, stats))
 
     def pop_unknown_branch(self) -> None:
         self._mask_stack.pop()
 
-    def _mask_state(self) -> Tuple[np.ndarray, bool, bool]:
+    def _mask_state(self) -> Tuple[np.ndarray, bool, bool, MaskStats]:
         return self._mask_stack[-1]
 
     # -- event helpers --------------------------------------------------
@@ -339,35 +345,22 @@ class LintContext:
         return self._recorder.current_line
 
     # -- census (static instruction/byte accounting) --------------------
-    def _census_lane_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Active-lane count per warp (mask padded to warp_size)."""
-        ws = self.spec.warp_size
-        pad = (-mask.shape[0]) % ws
-        m = np.concatenate([mask, np.zeros(pad, dtype=bool)]) if pad \
-            else mask
-        return m.reshape(-1, ws).sum(axis=1)
-
-    def _census_branch(self, cond) -> None:
+    def _census_branch(self, cond, taken: MaskStats) -> None:
         """Mirror of BlockContext.masked's branch bookkeeping: count the
-        warps whose parent-active lanes disagree on ``cond``.  An
-        unknown *thread-varying* condition (a data-dependent per-lane
+        warps whose parent-active lanes disagree on ``cond`` (``taken``
+        is the stats of the mask the branch pushes).  An unknown
+        *thread-varying* condition (a data-dependent per-lane
         predicate) is charged pessimistically as all-warps-divergent;
         an unknown scalar is uniform — every lane agrees."""
-        parent = self._mask_state()[0]
-        counts = self._census_lane_counts(parent)
-        warps = int((counts > 0).sum())
+        parent = self._mask_state()[3]
+        warps = parent.warps
         if warps == 0:
             return
         sym = as_sym(cond)
-        value = sym.concrete_value()
-        if value is None:
+        if sym.concrete_value() is None:
             divergent = warps if is_varying(sym) else 0
         else:
-            cvec = parent & np.broadcast_to(
-                np.asarray(value, dtype=bool), parent.shape)
-            taken = self._census_lane_counts(cvec)
-            skipped = self._census_lane_counts(parent & ~cvec)
-            divergent = int(((taken > 0) & (skipped > 0)).sum())
+            divergent = parent.divergent_warps(taken)
         self.census.record_branch(warps, divergent)
 
     def _census_emit(self, cls: InstrClass, count: int = 1) -> None:
@@ -377,18 +370,13 @@ class LintContext:
         issue slot — counted toward the serialized-divergence total."""
         if count == 0:
             return
-        mask = self._mask_state()[0]
-        counts = self._census_lane_counts(mask)
-        warps = int((counts > 0).sum())
-        if warps == 0:
+        stats = self._mask_stack[-1][3]
+        if stats.warps == 0:
             return
-        if len(self._mask_stack) > 1:
-            base = self._census_lane_counts(self._mask_stack[0][0])
-            partial = int(((counts > 0) & (counts < base)).sum())
-            if partial:
-                self.census.record_divergent_issue(partial * count)
-        self.census.record_instr(cls, warps * count,
-                                 int(mask.sum()) * count)
+        if stats.partial:
+            self.census.record_divergent_issue(stats.partial * count)
+        self.census.record_instr(cls, stats.warps * count,
+                                 stats.lanes * count)
 
     def _census_global(self, name: str, index_sym: SymVal, itemsize: int,
                        mask: np.ndarray, kind: str = "ld") -> None:
@@ -450,7 +438,7 @@ class LintContext:
             self.census.record_shared_conflict(extra)
 
     def _record_access(self, op: str, space: str, array, index) -> None:
-        mask, exact, divergent = self._mask_state()
+        mask, exact, divergent, _stats = self._mask_state()
         if isinstance(array, LintShared):
             name = array.name
             itemsize = array.itemsize
@@ -517,7 +505,7 @@ class LintContext:
             return _select(cond, new, old)
         if cat == "merge":
             new, old = args
-            mask, exact, _div = self._mask_state()
+            mask, exact, _div, _stats = self._mask_state()
             if exact:
                 return _select(SymVal.concrete(mask, "bool"), new, old)
             return _select(SymVal.opaque("bool"), new, old)
@@ -552,7 +540,7 @@ class LintContext:
         if cat == "alloc":
             return self._shared_alloc(*args, **kwargs)
         if cat == "sync":
-            _mask, exact, divergent = self._mask_state()
+            _mask, exact, divergent, _stats = self._mask_state()
             self._recorder.emit(SyncEvent(self._line(),
                                           divergent=divergent or not exact,
                                           interval=self._sync_interval))

@@ -48,6 +48,7 @@ from ..sim.occupancy import compute_occupancy
 from ..trace.trace import KernelTrace
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SyncEvent, interpret
+from .source import kernel_source
 from .symbolic import (
     classify_global,
     classify_shared,
@@ -660,6 +661,33 @@ def _plan_access(plan, spec: DeviceSpec) -> LaunchAccess:
                         reads_incoming=incoming)
 
 
+def _launch_footprint(plan, spec: DeviceSpec) -> LaunchAccess:
+    """:func:`_plan_access`, memoized on the kernel's
+    :class:`~repro.analysis.source.KernelSource` (one per code object)
+    per configuration: closure values, device, argument signature,
+    grid and bound array names.  Same-named kernels with another body
+    or closure constant never share a footprint; kernels without
+    readable source or with unhashable closure values are interpreted
+    every time."""
+    try:
+        source = kernel_source(plan.kernel)
+    except (OSError, TypeError, SyntaxError, ValueError):
+        return _plan_access(plan, spec)
+    key = (tuple((n, type(v), v) for n, v in source.env.items()),
+           spec.name, plan.arg_signature(), plan.grid,
+           tuple(getattr(a, "name", None) for a in plan.args))
+    memo = source.memo.setdefault("r7_footprints", {})
+    try:
+        access = memo.get(key)
+    except TypeError:
+        return _plan_access(plan, spec)
+    if access is None:
+        if len(memo) >= 256:        # bound a long sweep's growth
+            memo.clear()
+        access = memo[key] = _plan_access(plan, spec)
+    return access
+
+
 def classify_dataflow(launches: List[LaunchAccess],
                       ) -> Dict[str, ArrayDataflow]:
     """Chain per-launch footprints into per-array def-use verdicts."""
@@ -717,13 +745,8 @@ def analyze_launch_sequence(plans: List[object], app: str = "",
                             ) -> LaunchDataflow:
     """R7 over an already-recorded launch sequence."""
     flow = LaunchDataflow(app=app)
-    cache: Dict[Tuple, LaunchAccess] = {}
     for i, plan in enumerate(plans):
-        names = tuple(getattr(a, "name", None) for a in plan.args)
-        key = plan.arg_signature() + (plan.grid, names)
-        access = cache.get(key)
-        if access is None:
-            access = cache[key] = _plan_access(plan, spec)
+        access = _launch_footprint(plan, spec)
         access = LaunchAccess(index=i, kernel=access.kernel,
                               reads=access.reads, writes=access.writes,
                               reads_incoming=access.reads_incoming)

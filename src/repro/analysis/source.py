@@ -14,7 +14,9 @@ operation re-reads nothing; the closures differ only in their cells,
 which is why the environment and the fingerprint are per function.
 Results derived from the tree alone — the lowered
 :class:`~repro.analysis.ir.KernelIR` and its divergence analysis — are
-memoized on the same per-code entry (:attr:`KernelSource.memo`).
+memoized on the same per-code entry (:attr:`KernelSource.memo`), and
+so are R7's launch footprints, keyed by the closure values and the
+launch configuration they also depend on.
 
 The tree is shared by every consumer and must be treated as
 read-only: the grid compiler's in-place ``NodeTransformer`` works on a
@@ -42,8 +44,9 @@ class KernelSource:
     absolute file line of a node is ``line_offset + node.lineno``;
     ``text`` is the source as written; ``env`` maps the function's
     free variables to their closure cell values; ``memo`` holds
-    results derived from the tree alone, shared by every function of
-    the same code object.
+    results derived from the tree (with the closure values in their
+    key where they depend on them), shared by every function of the
+    same code object.
     """
 
     fdef: ast.FunctionDef

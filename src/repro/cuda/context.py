@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -147,6 +147,42 @@ CTX_ATTRS: Tuple[str, ...] = (
 )
 
 
+class MaskStats(NamedTuple):
+    """Issue accounting of one mask-stack entry.  An instruction issues
+    once per warp with an active lane (Section 3), which depends on the
+    mask alone: computed once per pushed mask, read by every
+    instruction under it, by :class:`BlockContext` and the static
+    census (:class:`repro.analysis.interp.LintContext`) alike."""
+
+    counts: np.ndarray   # active lanes per warp (warp-size padded)
+    warps: int           # warps with an active lane
+    lanes: int           # active lanes
+    #: issuing warps with fewer active lanes than the block's base mask
+    #: gives them — the lanes a divergent branch idled (pure
+    #: block-geometry padding is excluded)
+    partial: int
+
+    def divergent_warps(self, taken: "MaskStats") -> int:
+        """Warps whose lanes active here disagree on a branch whose
+        taken side is ``taken`` — they execute both sides serially."""
+        t = taken.counts
+        return int(np.count_nonzero((t > 0) & (t < self.counts)))
+
+
+def mask_stats(mask: np.ndarray, warp_size: int,
+               base: Optional[MaskStats] = None) -> MaskStats:
+    """The :class:`MaskStats` of ``mask``; ``partial`` is counted
+    against ``base`` (the block's base mask) and is 0 without it."""
+    pad = (-mask.shape[0]) % warp_size
+    if pad:
+        mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
+    counts = mask.reshape(-1, warp_size).sum(axis=1)
+    partial = 0 if base is None else int(np.count_nonzero(
+        (counts > 0) & (counts < base.counts)))
+    return MaskStats(counts, int(np.count_nonzero(counts)),
+                     int(counts.sum()), partial)
+
+
 class BlockContext:
     """Execution context of one thread block (see module docstring)."""
 
@@ -188,10 +224,12 @@ class BlockContext:
         #: ordered instruction stream for the event-driven warp
         #: simulator (populated when the launch records streams)
         self.stream = stream
-        self._mask_stack: List[np.ndarray] = [np.ones(T, dtype=bool)]
-        #: lazily-computed per-warp lane counts of the base mask (the
-        #: reference for divergence-serialization accounting)
-        self._base_lane_counts: Optional[np.ndarray] = None
+        #: (mask, its MaskStats) per nesting level; the stats are only
+        #: kept while tracing (None otherwise)
+        base = np.ones(T, dtype=bool)
+        self._mask_stack: List[Tuple[np.ndarray, Optional[MaskStats]]] = [
+            (base, mask_stats(base, spec.warp_size)
+             if trace is not None else None)]
         self._smem_words = 0
         self.shared_arrays: List[SharedArray] = []
 
@@ -228,58 +266,20 @@ class BlockContext:
     # ------------------------------------------------------------------
     @property
     def mask(self) -> np.ndarray:
-        return self._mask_stack[-1]
-
-    def _active_warps(self, mask: np.ndarray) -> int:
-        ws = self.spec.warp_size
-        pad = (-mask.shape[0]) % ws
-        if pad:
-            mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
-        return int(mask.reshape(-1, ws).any(axis=1).sum())
-
-    def _warp_lane_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Active-lane count per warp (warp-size padded)."""
-        ws = self.spec.warp_size
-        pad = (-mask.shape[0]) % ws
-        if pad:
-            mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
-        return mask.reshape(-1, ws).sum(axis=1)
-
-    def _partial_warps(self, mask: np.ndarray) -> int:
-        """Warps issuing under ``mask`` with fewer active lanes than
-        the block's base mask gives them — the lanes a divergent
-        branch idled (pure block-geometry padding is excluded)."""
-        if self._base_lane_counts is None:
-            self._base_lane_counts = self._warp_lane_counts(
-                self._mask_stack[0])
-        counts = self._warp_lane_counts(mask)
-        return int(((counts > 0)
-                    & (counts < self._base_lane_counts)).sum())
-
-    def _divergent_warps(self, parent: np.ndarray,
-                         cond: np.ndarray) -> int:
-        """Warps whose ``parent``-active lanes disagree on ``cond`` —
-        those warps execute both sides of the branch serially."""
-        taken = self._warp_lane_counts(parent & cond)
-        skipped = self._warp_lane_counts(parent & ~cond)
-        return int(((taken > 0) & (skipped > 0)).sum())
+        return self._mask_stack[-1][0]
 
     def _emit(self, cls: InstrClass, count: int = 1,
-              mask: Optional[np.ndarray] = None,
               mem: Optional[Tuple[float, float]] = None,
               divergent_warps: int = 0) -> None:
         if self.trace is None or count == 0:
             return
-        m = self.mask if mask is None else mask
-        warps = self._active_warps(m)
+        stats = self._mask_stack[-1][1]
+        warps, partial = stats.warps, stats.partial
         if warps == 0:
             return
-        partial = 0
-        if len(self._mask_stack) > 1:
-            partial = self._partial_warps(m)
-            if partial:
-                self.trace.record_divergent_issue(partial * count)
-        self.trace.record_instr(cls, warps * count, int(m.sum()) * count)
+        if partial:
+            self.trace.record_divergent_issue(partial * count)
+        self.trace.record_instr(cls, warps * count, stats.lanes * count)
         if self.stream is not None:
             from ..sim.warpsim import StreamEvent
             txn_w, bytes_w = mem if mem else (0.0, 0.0)
@@ -299,16 +299,19 @@ class BlockContext:
         exactly the SIMD divergence cost of Section 3.
         """
         cond = np.broadcast_to(np.asarray(cond, dtype=bool), (self.nthreads,))
+        parent, parent_stats = self._mask_stack[-1]
+        mask = parent & cond
+        stats = None
         divergent = 0
-        if self.trace is not None:
-            parent = self.mask
-            warps = self._active_warps(parent)
-            if warps:
-                divergent = self._divergent_warps(parent, cond)
-                self.trace.record_branch(warps, divergent)
+        if parent_stats is not None:
+            stats = mask_stats(mask, self.spec.warp_size,
+                               self._mask_stack[0][1])
+            if parent_stats.warps:
+                divergent = parent_stats.divergent_warps(stats)
+                self.trace.record_branch(parent_stats.warps, divergent)
         self._emit(InstrClass.SETP)
         self._emit(InstrClass.BRANCH, divergent_warps=divergent)
-        self._mask_stack.append(self.mask & cond)
+        self._mask_stack.append((mask, stats))
         try:
             yield
         finally:
@@ -608,7 +611,7 @@ class BlockContext:
         self.trace.record_global_access(arr.name, wa, txn, bus, useful, coal,
                                         kind=kind,
                                         request_bus_bytes=request_bus)
-        warps = max(self._active_warps(mask), 1)
+        warps = max(self._mask_stack[-1][1].warps, 1)
         return (txn / warps, bus / warps)
 
     # ------------------------------------------------------------------

@@ -345,7 +345,9 @@ class DirectMappedCache:
         """
         if not active.any():
             return 0, 0
-        lines = np.unique(addresses[active] // self.line_bytes)
+        lines = addresses[active] // self.line_bytes
+        # one line (a broadcast) needs no sort
+        lines = lines[:1] if (lines == lines[0]).all() else np.unique(lines)
         hits, misses, _ = self.probe_lines(lines)
         return hits, misses
 
@@ -356,8 +358,8 @@ class DirectMappedCache:
         consulted for the misses only."""
         hits = misses = 0
         missed = []
-        for line in lines:
-            slot = int(line % self.num_lines)
+        for line in lines.tolist():
+            slot = line % self.num_lines
             if self.tags[slot] == line:
                 hits += 1
             else:
@@ -437,7 +439,9 @@ class CacheHierarchy:
         addrs = addresses[active].astype(np.int64)
         first = addrs // self.line_bytes
         last = (addrs + itemsize - 1) // self.line_bytes
-        lines = np.unique(np.concatenate([first, last]))
+        # one line (a broadcast) needs no sort
+        lines = (first[:1] if first.min() == last.max()
+                 else np.unique(np.concatenate([first, last])))
         l1_hits = l1_misses = l2_hits = l2_misses = 0
         missed = lines
         if self.l1 is not None:

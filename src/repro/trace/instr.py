@@ -38,6 +38,11 @@ class InstrClass(enum.Enum):
     ATOM_GLOBAL = "atom.global"
     MISC = "misc"
 
+    # Members are singletons (pickling restores them by name), so the
+    # C-level identity hash is a valid hash; Enum's default hashes the
+    # member name in Python, on every per-instruction Counter update.
+    __hash__ = object.__hash__
+
 
 #: Floating-point operations contributed by one *thread* executing one
 #: instruction of each class (used for GFLOPS accounting).

@@ -10,6 +10,7 @@ from repro.arch.registry import device_by_name, device_names
 from repro.analysis.symbolic import (
     SymVal, classify_global, classify_shared, fresh_sym)
 from repro.sim.memsys import (
+    CacheHierarchy,
     DirectMappedCache,
     bank_conflict_degree,
     block_bank_conflicts,
@@ -522,6 +523,46 @@ class TestDirectMappedCache:
             hits, misses, missed = c.probe_lines(lines)
             assert (hits, misses, list(missed)) == ref_probe_lines(tags, lines)
             assert np.array_equal(c.tags, tags)
+
+    def test_access_matches_sequential_oracle(self):
+        # block-wide accesses: single-line broadcasts (the shortcut that
+        # skips the sort), mixed lines, partial and empty masks, through
+        # the read-only cache and the L1/L2 hierarchy alike
+        rng = np.random.default_rng(11)
+        cache = DirectMappedCache(8 * 32)
+        spec = device_by_name("gtx_480")
+        hier = CacheHierarchy(spec)
+        line = hier.line_bytes
+        tags = np.full(cache.num_lines, -1, dtype=np.int64)
+        l1_tags = np.full(hier.l1.num_lines, -1, dtype=np.int64)
+        l2_tags = np.full(hier.l2.num_lines, -1, dtype=np.int64)
+        for trial in range(120):
+            kind = trial % 4
+            if kind == 0:      # one line, varied offsets inside it
+                base = int(rng.integers(0, 1300)) * line
+                addr = base + 4 * rng.integers(0, line // 4, 64)
+            elif kind == 1:    # one word broadcast to every lane
+                addr = np.full(64, 4 * int(rng.integers(0, 40000)))
+            else:              # mixed lines
+                addr = 4 * rng.integers(0, 40000, 64)
+            addr = addr.astype(np.int64)
+            on = rng.random(64) < (0.0 if trial % 7 == 0 else 0.6)
+            active = addr[on]
+            expect = ((0, 0) if not on.any() else ref_probe_lines(
+                tags, np.unique(active // cache.line_bytes))[:2])
+            assert cache.access(addr, on) == expect
+            assert np.array_equal(cache.tags, tags)
+
+            out = hier.access(addr, on, 4)
+            lines = np.unique(np.concatenate(
+                [active // line, (active + 3) // line]))
+            l1_hits, l1_misses, missed = ref_probe_lines(l1_tags, lines)
+            l2_hits, l2_misses, _ = ref_probe_lines(
+                l2_tags, np.asarray(missed, dtype=np.int64))
+            assert (out.lines, out.l1_hits, out.l1_misses, out.l2_hits,
+                    out.l2_misses) == (lines.size, l1_hits, l1_misses,
+                                       l2_hits, l2_misses)
+        assert cache.hits + cache.misses > 0
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):

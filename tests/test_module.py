@@ -105,6 +105,73 @@ def test_host_step_caps_but_does_not_unfuse_the_run_before_it():
     assert len(fusion.groups[0].steps) == 2 * int(wl["steps"])
 
 
+def test_second_run_module_reuses_r7_footprints(monkeypatch):
+    from repro.analysis.interp import KernelInterp
+    calls = []
+    run = KernelInterp.run
+
+    def counting_run(self):
+        calls.append(self.target.kernel.name)
+        return run(self)
+
+    # two constant-memory chunks (1024 + 64 samples): a fused pair
+    wl = {"nvoxels": 256, "nsamples": 1088, "trace_blocks": 1}
+    first = MriQ().run_module(dict(wl)).module.fusion
+    monkeypatch.setattr(KernelInterp, "run", counting_run)
+    second = MriQ().run_module(dict(wl)).module.fusion
+    assert calls == []
+    assert second.groups == first.groups
+    assert any(g.fused for g in second.groups)
+    assert second.dataflow.to_dict() == first.dataflow.to_dict()
+
+
+# two kernels under one @kernel name and argument signature: the copy
+# direction is in the body, or in a closure constant
+@kernel("r7_twin", regs_per_thread=4)
+def r7_twin_writes_a(ctx, a, b, n):
+    i = ctx.global_tid()
+    with ctx.masked(i < n):
+        ctx.st_global(a, i, ctx.ld_global(b, i))
+
+
+@kernel("r7_twin", regs_per_thread=4)
+def r7_twin_writes_b(ctx, a, b, n):
+    i = ctx.global_tid()
+    with ctx.masked(i < n):
+        ctx.st_global(b, i, ctx.ld_global(a, i))
+
+
+def r7_twin_factory(write_a):
+    @kernel("r7_twin", regs_per_thread=4)
+    def r7_twin(ctx, a, b, n):
+        i = ctx.global_tid()
+        dst = a if write_a else b
+        src = b if write_a else a
+        with ctx.masked(i < n):
+            ctx.st_global(dst, i, ctx.ld_global(src, i))
+    return r7_twin
+
+
+@pytest.mark.parametrize("twins", [
+    (r7_twin_writes_a, r7_twin_writes_b),
+    (r7_twin_factory(True), r7_twin_factory(False)),
+], ids=["body", "closure"])
+def test_r7_footprints_tell_same_named_kernels_apart(twins):
+    from repro.analysis.rules import analyze_launch_sequence
+    dev = Device()
+    a = dev.alloc(64, np.float32, "A")
+    b = dev.alloc(64, np.float32, "B")
+    plans = [LaunchPlan.build(k, (2,), (32,), (a, b, 64), device=dev)
+             for k in twins]
+    assert plans[0].arg_signature() == plans[1].arg_signature()
+    expect = [(("B",), ("A",)), (("A",), ("B",))]
+    within = analyze_launch_sequence(plans).launches
+    assert [(la.reads, la.writes) for la in within] == expect
+    for plan, footprint in zip(plans, expect):
+        (la,) = analyze_launch_sequence([plan]).launches
+        assert (la.reads, la.writes) == footprint
+
+
 def test_groups_below_threshold_are_refused():
     app = Fdtd()
     wl = {"nx": 32, "ny": 32, "steps": 1, "total_steps": 1}  # 2 launches

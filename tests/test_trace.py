@@ -1,5 +1,10 @@
 """Tests for KernelTrace aggregation, scaling and derived metrics."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +47,28 @@ class TestInstrHelpers:
         assert not is_global_memory(InstrClass.LD_SHARED)
         assert is_sfu(InstrClass.SFU) and is_sfu(InstrClass.FDIV)
         assert not is_sfu(InstrClass.FMA)
+
+    def test_identity_hash_survives_pickling(self):
+        # InstrClass hashes by identity; members unpickle as the same
+        # singletons, so Counter-keyed traces round-trip in-process and
+        # rebuild their keys in another process
+        assert all(hash(c) == object.__hash__(c) for c in InstrClass)
+        t = sample_trace()
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(t, protocol=proto))
+            assert back == t and back.summary() == t.summary()
+            assert all(k is InstrClass[k.name] for k in back.warp_insts)
+            assert back.warp_insts[InstrClass.FMA] == 10.0
+        probe = ("import pickle, sys; t = pickle.loads(sys.stdin.buffer.read());"
+                 "from repro.trace import InstrClass;"
+                 "print(t.warp_insts[InstrClass.SYNC], t.flops)")
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe],
+                             input=pickle.dumps(t), capture_output=True,
+                             env=env, check=True).stdout.decode().split()
+        assert out == ["1.0", str(t.flops)]
 
 
 class TestRecording:
