@@ -48,7 +48,6 @@ from ..sim.occupancy import compute_occupancy
 from ..trace.trace import KernelTrace
 from .findings import AccessSummary, Finding, KernelReport, Severity
 from .interp import HazardEvent, MemEvent, SyncEvent, interpret
-from .source import kernel_source
 from .symbolic import (
     classify_global,
     classify_shared,
@@ -661,30 +660,25 @@ def _plan_access(plan, spec: DeviceSpec) -> LaunchAccess:
                         reads_incoming=incoming)
 
 
+#: R7 footprints per launch configuration: kernel fingerprint, device,
+#: argument signature, grid and bound array names (cleared past 256)
+_FOOTPRINTS: Dict[Tuple, LaunchAccess] = {}
+
+
 def _launch_footprint(plan, spec: DeviceSpec) -> LaunchAccess:
-    """:func:`_plan_access`, memoized on the kernel's
-    :class:`~repro.analysis.source.KernelSource` (one per code object)
-    per configuration: closure values, device, argument signature,
-    grid and bound array names.  Same-named kernels with another body
-    or closure constant never share a footprint; kernels without
-    readable source or with unhashable closure values are interpreted
-    every time."""
-    try:
-        source = kernel_source(plan.kernel)
-    except (OSError, TypeError, SyntaxError, ValueError):
+    """:func:`_plan_access`, memoized per launch configuration keyed by
+    :attr:`~repro.cuda.launch.Kernel.fingerprint`.  Same-named kernels
+    with another body or closure constant never share a footprint;
+    kernels without a fingerprint are interpreted every time."""
+    if plan.kernel.fingerprint is None:
         return _plan_access(plan, spec)
-    key = (tuple((n, type(v), v) for n, v in source.env.items()),
-           spec.name, plan.arg_signature(), plan.grid,
-           tuple(getattr(a, "name", None) for a in plan.args))
-    memo = source.memo.setdefault("r7_footprints", {})
-    try:
-        access = memo.get(key)
-    except TypeError:
-        return _plan_access(plan, spec)
+    key = (plan.kernel.fingerprint, spec.name, plan.arg_signature(),
+           plan.grid, tuple(getattr(a, "name", None) for a in plan.args))
+    access = _FOOTPRINTS.get(key)
     if access is None:
-        if len(memo) >= 256:        # bound a long sweep's growth
-            memo.clear()
-        access = memo[key] = _plan_access(plan, spec)
+        if len(_FOOTPRINTS) >= 256:     # bound a long sweep's growth
+            _FOOTPRINTS.clear()
+        access = _FOOTPRINTS[key] = _plan_access(plan, spec)
     return access
 
 

@@ -2,21 +2,27 @@
 
 The abstract interpreter (:mod:`repro.analysis.interp`), the kernel IR
 (:mod:`repro.analysis.ir`), register liveness
-(:mod:`repro.analysis.liveness`), the grid compiler
-(:mod:`repro.compile.lower`) and the artifact fingerprint
-(:mod:`repro.compile.artifact`) all start from a kernel's own Python
+(:mod:`repro.analysis.liveness`) and the grid compiler
+(:mod:`repro.compile.lower`) all start from a kernel's own Python
 source.  :func:`kernel_source` fetches and parses it once per *code
 object* and pairs the shared tree with the closure environment of the
 function at hand.  Kernel factories (``build_kernel("tiled", 16)``,
 ``lbm_step_kernel(layout)``) return fresh closures of one code object
 on every call, so a suite sweep that rebuilds its kernels per
 operation re-reads nothing; the closures differ only in their cells,
-which is why the environment and the fingerprint are per function.
-Results derived from the tree alone — the lowered
-:class:`~repro.analysis.ir.KernelIR` and its divergence analysis — are
-memoized on the same per-code entry (:attr:`KernelSource.memo`), and
-so are R7's launch footprints, keyed by the closure values and the
-launch configuration they also depend on.
+which is why the environment is per function.  Results derived from
+the tree alone — the lowered :class:`~repro.analysis.ir.KernelIR` and
+its divergence analysis — are memoized on the same per-code entry
+(:attr:`KernelSource.memo`).
+
+Cache key
+    Nothing here identifies a kernel *configuration*.  Caches whose
+    results depend on the closure, the module globals or the helpers
+    a kernel calls — compiled programs, on-disk artifacts, R7's launch
+    footprints, module trace replay — key on
+    :attr:`repro.cuda.launch.Kernel.fingerprint`, a content hash of
+    the kernel's code objects, closure cells and named globals (helper
+    functions included, recursively) that needs no source.
 
 The tree is shared by every consumer and must be treated as
 read-only: the grid compiler's in-place ``NodeTransformer`` works on a
@@ -26,7 +32,6 @@ deep copy.
 from __future__ import annotations
 
 import ast
-import hashlib
 import inspect
 import textwrap
 import types
@@ -42,35 +47,15 @@ class KernelSource:
 
     ``fdef`` is the dedented definition (shared, read-only); the
     absolute file line of a node is ``line_offset + node.lineno``;
-    ``text`` is the source as written; ``env`` maps the function's
-    free variables to their closure cell values; ``memo`` holds
-    results derived from the tree (with the closure values in their
-    key where they depend on them), shared by every function of the
-    same code object.
+    ``env`` maps the function's free variables to their closure cell
+    values; ``memo`` holds results derived from the tree alone, shared
+    by every function of the same code object.
     """
 
     fdef: ast.FunctionDef
     line_offset: int
-    text: str
     env: Dict[str, object]
     memo: Dict[object, object]
-
-    def fingerprint(self) -> str:
-        """Content hash of the source plus the closure cell values
-        (kernel factories share one source but close over different
-        constants).  Function-valued cells contribute their own
-        source, or their bytecode when it is unavailable."""
-        h = hashlib.sha256(self.text.encode())
-        for name, value in self.env.items():
-            if isinstance(value, types.FunctionType):
-                try:
-                    part = inspect.getsource(value)
-                except (OSError, TypeError):
-                    part = repr(value.__code__.co_code)
-            else:
-                part = repr(value)
-            h.update(f"{name}={part}\n".encode())
-        return h.hexdigest()
 
 
 #: the environment-free entry of every code object parsed so far (its
@@ -96,16 +81,14 @@ def kernel_source(fn: object) -> KernelSource:
     entry = _PARSED.get(code)
     if entry is None:
         lines, start = inspect.getsourcelines(code)
-        text = "".join(lines)
-        tree = ast.parse(textwrap.dedent(text))
+        tree = ast.parse(textwrap.dedent("".join(lines)))
         fdef = tree.body[0] if tree.body else None
         if not isinstance(fdef, ast.FunctionDef):
             raise ValueError(f"not a function definition: {code.co_name!r}")
         if len(_PARSED) > 512:
             _PARSED.clear()
-        entry = _PARSED[code] = KernelSource(fdef, start - 1, text, {}, {})
+        entry = _PARSED[code] = KernelSource(fdef, start - 1, {}, {})
     cells = getattr(fn, "__closure__", None) or ()
     env = {name: cell.cell_contents
            for name, cell in zip(code.co_freevars, cells)}
-    return KernelSource(entry.fdef, entry.line_offset, entry.text, env,
-                        entry.memo)
+    return KernelSource(entry.fdef, entry.line_offset, env, entry.memo)

@@ -11,13 +11,13 @@ interpreter, falling back per kernel when a construct is unsupported.
 
 from .artifact import (ArtifactCache, COMPILER_VERSION,
                        active_artifact_cache, install_artifact_cache,
-                       kernel_fingerprint, use_artifact_cache)
+                       use_artifact_cache)
 from .fuse import FusedGroup, FusionPlan, fuse_schedule
 from .lower import CompileError, LoweredFunction, LoweringSession
 from .module import CompiledModule, HostStep, ModuleSchedule
 from .program import (CompiledProgram, clear_program_cache,
-                      compile_kernel, compile_status, executable_for,
-                      get_program, plan_context)
+                      compile_kernel, compile_status, get_program,
+                      plan_context)
 from .runtime import NP_SHIM, GridPrelude, GridRT, LaneCount, prelude_for
 
 __all__ = [
@@ -40,11 +40,9 @@ __all__ = [
     "clear_program_cache",
     "compile_kernel",
     "compile_status",
-    "executable_for",
     "fuse_schedule",
     "get_program",
     "install_artifact_cache",
-    "kernel_fingerprint",
     "plan_context",
     "prelude_for",
     "use_artifact_cache",

@@ -11,14 +11,18 @@ rebuild the program from bytes.
 
 Cache key
     ``sha256(kernel name, device name, arg signature, compiler
-    version, python version)`` names the file; the kernel's *source
-    fingerprint* (entry source + closure cell values, including the
-    sources of function-valued cells) is stored inside the artifact
-    and checked on load.  A fingerprint mismatch means the kernel
-    changed since the artifact was written: the stale file is deleted,
-    the ``artifact.invalidated`` counter bumps, and the kernel is
+    version, python version)`` names the file; the kernel's content
+    fingerprint (:attr:`repro.cuda.launch.Kernel.fingerprint`: the
+    code objects, closure cells and named module globals of the kernel
+    and of every helper function it reaches) is stored inside the
+    artifact and checked on load.  A fingerprint mismatch means the
+    kernel, a constant it reads or a helper it calls changed since the
+    artifact was written: the stale file is deleted, the
+    ``artifact.invalidated`` counter bumps, and the kernel is
     recompiled (and re-cached).  Unreadable files are treated the same
-    way (``artifact.corrupt``).
+    way (``artifact.corrupt``).  Kernels without a fingerprint are
+    neither stored nor loaded.  The load path reads no kernel source
+    and imports no analyzer.
 
 Activation
     :func:`active_artifact_cache` returns the process-wide cache: the
@@ -41,12 +45,10 @@ import types
 from collections import Counter
 from typing import Dict, Optional, Tuple
 
-from .lower import CompileError
 from .program import CompiledProgram
 
 __all__ = ["ArtifactCache", "COMPILER_VERSION", "active_artifact_cache",
-           "artifact_key", "install_artifact_cache", "kernel_fingerprint",
-           "use_artifact_cache"]
+           "artifact_key", "install_artifact_cache", "use_artifact_cache"]
 
 #: bump when the lowering or the artifact layout changes shape — old
 #: artifacts become unreachable (different file names) rather than
@@ -57,26 +59,11 @@ COMPILER_VERSION = 1
 _FORMAT = 1
 
 
-def kernel_fingerprint(kernel) -> str:
-    """Content hash of everything that determines the lowered program:
-    the kernel function's source plus its closure cell values (kernel
-    factories like ``lbm_step_kernel(layout)`` share one source but
-    close over different constants).  Function-valued cells contribute
-    their own source.  Raises :class:`CompileError` when the source is
-    unavailable (interactively defined kernels are not cacheable)."""
-    from ..analysis.source import kernel_source
-    try:
-        return kernel_source(kernel).fingerprint()
-    except (OSError, TypeError, SyntaxError, ValueError) as exc:
-        raise CompileError(
-            f"source of {kernel.name!r} unavailable: {exc}") from None
-
-
 def artifact_key(kernel, device_name: str = "",
                  signature: Tuple = ()) -> str:
     """File-name key: kernel identity + launch context + toolchain.
 
-    The source fingerprint deliberately stays *out* of the key (and
+    The content fingerprint deliberately stays *out* of the key (and
     *inside* the payload) so an edited kernel maps to the same file —
     that is what makes staleness detectable as an invalidation rather
     than a silent miss.
@@ -208,12 +195,13 @@ class ArtifactCache:
         """Write one artifact (atomic rename); returns False when the
         kernel or one of its constants is unserializable."""
         try:
-            fingerprint = kernel_fingerprint(kernel)
+            if kernel.fingerprint is None:
+                raise ValueError("kernel has no content fingerprint")
             blob = pickle.dumps(
-                {"fingerprint": fingerprint,
+                {"fingerprint": kernel.fingerprint,
                  "program": _dump_program(program)},
                 protocol=pickle.HIGHEST_PROTOCOL)
-        except (CompileError, ValueError, TypeError, pickle.PicklingError,
+        except (ValueError, TypeError, pickle.PicklingError,
                 AttributeError):
             self._count("unserializable", kernel.name)
             return False
@@ -233,6 +221,8 @@ class ArtifactCache:
         (the latter two delete the bad file so the rewrite is clean)."""
         path = self.path_for(kernel, device_name, signature)
         try:
+            if kernel.fingerprint is None:
+                raise OSError("kernel has no content fingerprint")
             with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError:
@@ -241,12 +231,11 @@ class ArtifactCache:
         try:
             wrapper = pickle.loads(blob)
             fingerprint = wrapper["fingerprint"]
-            current = kernel_fingerprint(kernel)
         except Exception:
             self._count("corrupt", kernel.name)
             self._discard(path)
             return None
-        if fingerprint != current:
+        if fingerprint != kernel.fingerprint:
             self._count("invalidated", kernel.name)
             self._discard(path)
             return None

@@ -45,7 +45,11 @@ from typing import Dict, List, Optional, Tuple
 
 from .program import compile_status, plan_context
 
-__all__ = ["FusedGroup", "FusionPlan", "fuse_schedule"]
+__all__ = ["FusedGroup", "FusionPlan", "MIN_FUSE_STEPS", "fuse_schedule"]
+
+#: minimum run of compilable launches worth fusing into a module group
+#: (a "fused group" of one launch is just a launch)
+MIN_FUSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -107,20 +111,18 @@ def _refusal(plan) -> str:
     return ""
 
 
-def fuse_schedule(schedule, spec=None, policy=None) -> FusionPlan:
+def fuse_schedule(schedule, spec=None) -> FusionPlan:
     """Plan the fused execution of one :class:`ModuleSchedule`.
 
     Walks the schedule in order, growing a group while launches stay
     fusable, and closing it at every host step or refused launch.
-    Groups shorter than ``policy.min_fuse_steps`` execute per-launch
+    Groups shorter than :data:`MIN_FUSE_STEPS` execute per-launch
     (nothing to amortize).  R7 runs once over the whole launch
     sequence; its classifications are then scoped to each group.
     """
     from ..analysis.rules import analyze_launch_sequence
-    from ..cuda.executors import get_policy
     from .module import HostStep
 
-    policy = policy or get_policy()
     spec = spec or schedule.device.spec
 
     plans = []
@@ -141,9 +143,9 @@ def fuse_schedule(schedule, spec=None, policy=None) -> FusionPlan:
         nonlocal run
         if not run:
             return
-        if len(run) < policy.min_fuse_steps:
+        if len(run) < MIN_FUSE_STEPS:
             reason = (f"group of {len(run)} launch(es) below the "
-                      f"fusion threshold ({policy.min_fuse_steps})")
+                      f"fusion threshold ({MIN_FUSE_STEPS})")
             if boundary:
                 reason = f"{boundary}; {reason}"
             plan_out.groups.append(FusedGroup(

@@ -26,9 +26,7 @@ unit instead:
   configuration, not once per launch.  Replay is sound for the same
   reason trace memoization (``memoize=True``) is: a launch
   configuration fixes the kernel's address and control streams, which
-  for the suite's kernels are data-independent.  Set
-  ``ExecutorPolicy.module_trace_replay=False`` to re-trace every
-  launch.
+  for the suite's kernels are data-independent.
 
 * Compiled programs come through the artifact-cache-aware
   :func:`repro.compile.get_program`, so a warm on-disk cache
@@ -51,8 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..cuda.executors import (CompiledExecutor, ExecutorPolicy,
-                              get_policy)
+from ..cuda.executors import CompiledExecutor
 from ..cuda.launch import LaunchResult
 from ..obs.profiler import active_profiler
 from ..obs.registry import get_registry
@@ -117,12 +114,10 @@ class CompiledModule:
     ambient metrics registry as ``module.*`` counters when enabled.
     """
 
-    def __init__(self, schedule: ModuleSchedule,
-                 policy: Optional[ExecutorPolicy] = None) -> None:
+    def __init__(self, schedule: ModuleSchedule) -> None:
         self.schedule = schedule
-        self.policy = policy or get_policy()
         self.fusion: FusionPlan = fuse_schedule(
-            schedule, spec=schedule.device.spec, policy=self.policy)
+            schedule, spec=schedule.device.spec)
         self.stats: Counter = Counter()
         self._replays: Dict[Tuple, _Replay] = {}
         self._executor = CompiledExecutor()
@@ -161,10 +156,9 @@ class CompiledModule:
         self.stats["fallback_launches"] += 1
         return plan.execute("auto")
 
-    def _replay_eligible(self, plan) -> bool:
-        return (self.policy.module_trace_replay
-                and plan.trace_enabled
-                and not plan.record_stream
+    @staticmethod
+    def _replay_eligible(plan) -> bool:
+        return (plan.trace_enabled and not plan.record_stream
                 and not plan.memoize)
 
     def _run_fused(self, plan) -> LaunchResult:

@@ -4,24 +4,23 @@ A :class:`CompiledProgram` is the AOT artifact for one kernel: a
 single Python function ``entry(__rt, *args)`` over a
 :class:`~repro.compile.runtime.GridRT` that executes every lane of a
 block range in one shot.  Programs (and compile *failures*) are
-cached per kernel function object, so repeated launches — including
-launches of fresh :func:`build_kernel` closures — pay the AST pass at
-most once per kernel object.
+cached per kernel *content* (:attr:`Kernel.fingerprint`), so repeated
+launches — including launches of fresh :func:`build_kernel` closures
+with equal constants — pay the AST pass at most once per kernel.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..cuda.launch import Kernel
 from ..obs.registry import get_registry
 from .lower import CompileError, LoweringSession
-from .runtime import NP_SHIM, GridPrelude, prelude_for
+from .runtime import NP_SHIM
 
 __all__ = ["CompiledProgram", "compile_kernel", "get_program",
-           "compile_status", "executable_for", "clear_program_cache",
+           "compile_status", "clear_program_cache",
            "plan_context"]
 
 
@@ -37,11 +36,10 @@ class CompiledProgram:
     helpers: int           # transitively lowered helper functions
 
 
-#: fn -> CompiledProgram | CompileError.  Keyed on the *function*
-#: object (kernels are frozen dataclasses wrapping fn); weak keys let
-#: throwaway build_kernel closures be collected along with their
-#: programs.
-_PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: (kernel name, batchable, fingerprint) -> CompiledProgram |
+#: CompileError; cleared past 512 entries.  Kernels without a
+#: fingerprint are compiled on every call.
+_PROGRAMS: Dict[Tuple, object] = {}
 
 
 def compile_kernel(kernel: Kernel) -> CompiledProgram:
@@ -78,37 +76,39 @@ def get_program(kernel: Kernel,
     ``context`` is an optional ``(device name, arg signature)`` pair
     from a concrete launch plan.  When an artifact cache is active
     (:func:`repro.compile.artifact.active_artifact_cache`), a memory
-    miss with context first tries the on-disk artifact keyed by
-    ``(kernel source hash, device, signature, compiler version)`` —
-    the cold-process path that skips lowering entirely — and a fresh
-    compile is written back for the next process.
+    miss with context first tries the on-disk artifact named by
+    ``(kernel name, device, signature, compiler version)`` and checked
+    against :attr:`Kernel.fingerprint` — the cold-process path that
+    skips lowering entirely — and a fresh compile is written back for
+    the next process.
     """
-    cached = _PROGRAMS.get(kernel.fn)
+    key = (kernel.name, kernel.batchable, kernel.fingerprint)
+    cached = _PROGRAMS.get(key)
     if isinstance(cached, CompileError):
         # a previously-recorded refusal: the negative cache answered
         registry = get_registry()
         if registry.enabled:
             registry.counter("compile.negative_cache_hits",
                              kernel=kernel.name).inc()
-        raise cached
-    if cached is None:
+    elif cached is None:
         from .artifact import active_artifact_cache
-        disk = active_artifact_cache()
-        if disk is not None and context is not None:
+        disk = active_artifact_cache() if context is not None else None
+        if disk is not None:
             cached = disk.load(kernel, *context)
         if cached is None:
             try:
                 cached = compile_kernel(kernel)
-                if disk is not None and context is not None:
+                if disk is not None:
                     disk.store(kernel, cached, *context)
             except CompileError as exc:
                 cached = exc
-        try:
-            _PROGRAMS[kernel.fn] = cached
-        except TypeError:          # unweakrefable callable: skip cache
-            pass
+        if kernel.fingerprint is not None:
+            if len(_PROGRAMS) >= 512:
+                _PROGRAMS.clear()
+            _PROGRAMS[key] = cached
     if isinstance(cached, CompileError):
-        raise cached
+        # drop the previous raise's frames before raising it again
+        raise cached.with_traceback(None)
     return cached
 
 
@@ -121,12 +121,6 @@ def compile_status(kernel: Kernel,
     except CompileError as exc:
         return False, str(exc)
     return True, ""
-
-
-def executable_for(plan) -> Tuple[CompiledProgram, GridPrelude]:
-    """Program plus the (cached) grid prelude for one launch plan."""
-    return (get_program(plan.kernel, plan_context(plan)),
-            prelude_for(plan.grid, plan.block))
 
 
 def plan_context(plan) -> Tuple[str, Tuple]:

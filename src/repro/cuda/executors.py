@@ -29,9 +29,7 @@ from ``None`` / ``"sequential"`` / ``"sanitized"`` / ``"compiled"`` /
 
 from __future__ import annotations
 
-import contextlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from time import perf_counter
 
 from ..obs.profiler import active_profiler
@@ -291,47 +289,6 @@ EXECUTORS = {
 #: sequential backend under ``"auto"`` — below the width at which
 #: compilation amortizes its per-launch bookkeeping.
 MIN_VECTOR_BLOCKS = 4
-
-
-@dataclass(frozen=True)
-class ExecutorPolicy:
-    """The module layer's knobs in one place; install a
-    non-default policy with :func:`set_policy` / :func:`use_policy`.
-    The on-disk artifact cache directory is configured separately
-    (``REPRO_AOT_CACHE``, see :mod:`repro.compile.artifact`)."""
-
-    #: minimum run of compilable launches worth fusing into a module
-    #: group (a "fused group" of one launch is just a launch)
-    min_fuse_steps: int = 2
-    #: replay recorded traces for repeated launch configs inside a
-    #: fused module group instead of re-tracing sample blocks
-    module_trace_replay: bool = True
-
-
-_POLICY = ExecutorPolicy()
-
-
-def get_policy() -> ExecutorPolicy:
-    """The process-wide :class:`ExecutorPolicy`."""
-    return _POLICY
-
-
-def set_policy(policy: ExecutorPolicy) -> ExecutorPolicy:
-    """Install a policy; returns the previous one."""
-    global _POLICY
-    previous = _POLICY
-    _POLICY = policy
-    return previous
-
-
-@contextlib.contextmanager
-def use_policy(policy: ExecutorPolicy):
-    """Scoped :func:`set_policy` (tests)."""
-    previous = set_policy(policy)
-    try:
-        yield policy
-    finally:
-        set_policy(previous)
 
 
 def choose_executor(plan) -> Executor:

@@ -30,8 +30,13 @@ benchmark harness uses for large problem sizes.
 
 from __future__ import annotations
 
+import hashlib
+import types
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..arch.device import DeviceSpec
 from ..trace.trace import KernelTrace
@@ -62,6 +67,82 @@ class Kernel:
         if static_smem_bytes is not None:
             updates["static_smem_bytes"] = static_smem_bytes
         return replace(self, **updates)
+
+    @cached_property
+    def fingerprint(self) -> Optional[str]:
+        """Content key of everything the grid compiler and the
+        analyzers read from :attr:`fn`: its code (bytecode, constants,
+        names), its closure cells and the module globals its code names
+        — helper functions by their own fingerprint, recursively.  The
+        one answer to "which kernel is this" for the program cache, the
+        on-disk artifact, R7's footprints and module replay.  ``None``
+        when some reachable value has no content encoding (the kernel
+        is then never cached)."""
+        try:
+            canon = _canonical(self.fn, [])
+        except (_Unkeyable, ValueError):     # ValueError: an empty cell
+            return None
+        return hashlib.sha256(repr(canon).encode()).hexdigest()
+
+
+class _Unkeyable(Exception):
+    """A value :attr:`Kernel.fingerprint` has no content encoding for."""
+
+
+def _global_names(code: types.CodeType) -> Set[str]:
+    """Global (and attribute) names of ``code`` and its nested code."""
+    return set(code.co_names).union(*(
+        _global_names(c) for c in code.co_consts
+        if isinstance(c, types.CodeType)))
+
+
+def _canonical(value, stack: List[object]) -> object:
+    """A nested tuple of plain values whose ``repr`` is the same in
+    every process for equal content: sets sorted, ndarrays by dtype,
+    shape and bytes, modules, classes and builtins by name.
+    ``stack`` holds the functions being encoded, so recursion becomes
+    a back-reference."""
+    if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+        return ("ndarray", repr(value.dtype), value.shape,
+                np.ascontiguousarray(value).tobytes())
+    if isinstance(value, np.generic):
+        return ("generic", repr(value.dtype), value.tobytes())
+    if value is None or isinstance(value, (str, bytes, int, float, complex,
+                                           np.dtype)):
+        return (type(value).__name__, repr(value))
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__,
+                *(_canonical(item, stack) for item in value))
+    if isinstance(value, dict):
+        return ("dict", *(_canonical(item, stack) for item in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return (type(value).__name__,
+                *sorted(repr(_canonical(item, stack)) for item in value))
+    if isinstance(value, (types.ModuleType, type, types.BuiltinFunctionType,
+                          np.ufunc)):
+        return (type(value).__name__, getattr(value, "__module__", None),
+                getattr(value, "__qualname__", value.__name__))
+    if isinstance(value, types.CodeType):
+        return ("code", value.co_name, value.co_argcount,
+                value.co_posonlyargcount, value.co_kwonlyargcount,
+                value.co_flags, value.co_code,
+                _canonical(value.co_consts, stack), value.co_names,
+                value.co_varnames, value.co_freevars, value.co_cellvars)
+    if isinstance(value, types.FunctionType):
+        for depth, active in enumerate(stack):
+            if active is value:
+                return ("recursion", depth)
+        stack.append(value)
+        code, scope = value.__code__, value.__globals__
+        cells = [cell.cell_contents for cell in value.__closure__ or ()]
+        canon = ("function", _canonical((
+            code, value.__defaults__, value.__kwdefaults__,
+            dict(zip(code.co_freevars, cells)),
+            {n: scope[n] for n in sorted(_global_names(code))
+             if n in scope}), stack))
+        stack.pop()
+        return canon
+    raise _Unkeyable(type(value).__name__)
 
 
 def kernel(name: str, regs_per_thread: int = 10,

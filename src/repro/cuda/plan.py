@@ -228,16 +228,17 @@ class LaunchPlan:
 
     def module_key(self) -> Tuple:
         """Full launch-*configuration* identity for the AOT module
-        layer (:mod:`repro.compile.module`): :meth:`arg_signature`
-        plus the grid, the bound array names and every switch that
-        changes what executing the plan observes.  Two plans with
-        equal keys run the same kernel over the same geometry against
-        the same-named device arrays — the precondition for replaying
-        a recorded trace instead of re-tracing sample blocks."""
+        layer (:mod:`repro.compile.module`): the kernel fingerprint,
+        :meth:`arg_signature`, the grid, the bound array names and
+        every switch that changes what executing the plan observes.
+        Two plans with equal keys run the same kernel over the same
+        geometry against the same-named device arrays — the
+        precondition for replaying a recorded trace."""
         from .memory import DeviceArray
         names = tuple(a.name if isinstance(a, DeviceArray) else None
                       for a in self.args)
-        return (self.arg_signature(), self.grid, names,
+        return (self.kernel.fingerprint or self.kernel,
+                self.arg_signature(), self.grid, names,
                 self.trace_enabled, self.trace_blocks,
                 self.functional, self.record_stream, self.memoize)
 

@@ -1,5 +1,5 @@
 """Whole-application AOT modules: fusion legality, trace replay, the
-on-disk artifact cache and the executor policy knobs.
+on-disk artifact cache and the content-keyed program cache.
 
 The module layer's contract mirrors the executors': running an app
 through :meth:`Application.run_module` must be *observationally
@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -23,16 +24,19 @@ from repro.apps.mri_q import MriQ
 from repro.apps.registry import ALL_APPS
 from repro.compile import (
     ArtifactCache,
+    CompiledModule,
     HostStep,
+    ModuleSchedule,
     clear_program_cache,
+    compile_status,
     fuse_schedule,
     get_program,
-    kernel_fingerprint,
     plan_context,
     use_artifact_cache,
 )
+from repro.compile import program as program_mod
+from repro.compile.fuse import MIN_FUSE_STEPS
 from repro.cuda import Device, LaunchPlan, kernel
-from repro.cuda.executors import ExecutorPolicy, get_policy, use_policy
 from repro.obs.registry import MetricsRegistry, use_registry
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -126,7 +130,9 @@ def test_second_run_module_reuses_r7_footprints(monkeypatch):
 
 
 # two kernels under one @kernel name and argument signature: the copy
-# direction is in the body, or in a closure constant
+# direction is in the body, or in a closure constant.  The B-writing
+# twin loads its source twice, so the two traces differ too (a copy
+# A->B and a copy B->A have equal per-array statistics).
 @kernel("r7_twin", regs_per_thread=4)
 def r7_twin_writes_a(ctx, a, b, n):
     i = ctx.global_tid()
@@ -138,7 +144,7 @@ def r7_twin_writes_a(ctx, a, b, n):
 def r7_twin_writes_b(ctx, a, b, n):
     i = ctx.global_tid()
     with ctx.masked(i < n):
-        ctx.st_global(b, i, ctx.ld_global(a, i))
+        ctx.st_global(b, i, ctx.ld_global(a, i) + ctx.ld_global(a, i))
 
 
 def r7_twin_factory(write_a):
@@ -148,7 +154,10 @@ def r7_twin_factory(write_a):
         dst = a if write_a else b
         src = b if write_a else a
         with ctx.masked(i < n):
-            ctx.st_global(dst, i, ctx.ld_global(src, i))
+            v = ctx.ld_global(src, i)
+            if not write_a:
+                v = v + ctx.ld_global(src, i)
+            ctx.st_global(dst, i, v)
     return r7_twin
 
 
@@ -170,20 +179,35 @@ def test_r7_footprints_tell_same_named_kernels_apart(twins):
     for plan, footprint in zip(plans, expect):
         (la,) = analyze_launch_sequence([plan]).launches
         assert (la.reads, la.writes) == footprint
+    # one fused module: the second twin must not replay the first's
+    # trace (same name, same signature, another kernel)
+    module = CompiledModule(ModuleSchedule(app="twins", device=dev,
+                                           steps=plans))
+    assert [g.fused for g in module.fusion.groups] == [True]
+    results = module.execute()
+    for kern, result in zip(twins, results):
+        solo_dev = Device()
+        solo = LaunchPlan.build(
+            kern, (2,), (32,), (solo_dev.alloc(64, np.float32, "A"),
+                                solo_dev.alloc(64, np.float32, "B"), 64),
+            device=solo_dev).execute("compiled")
+        assert result.trace == solo.trace
+    assert module.stats["trace_replays"] == 0
 
 
 def test_groups_below_threshold_are_refused():
     app = Fdtd()
     wl = {"nx": 32, "ny": 32, "steps": 1, "total_steps": 1}  # 2 launches
     schedule = app.module_schedule(wl)
-    fusion = fuse_schedule(
-        schedule, policy=ExecutorPolicy(min_fuse_steps=3))
-    assert [g.fused for g in fusion.groups] == [False]
-    assert "below the fusion threshold (3)" in fusion.groups[0].reason
-    # and with the threshold lowered the same schedule fuses
-    fusion = fuse_schedule(
-        schedule, policy=ExecutorPolicy(min_fuse_steps=2))
+    assert len(schedule.steps) == MIN_FUSE_STEPS
+    fusion = fuse_schedule(schedule)
     assert [g.fused for g in fusion.groups] == [True]
+    # one launch short of the threshold: nothing to amortize
+    schedule.steps = schedule.steps[:MIN_FUSE_STEPS - 1]
+    fusion = fuse_schedule(schedule)
+    assert [g.fused for g in fusion.groups] == [False]
+    assert f"below the fusion threshold ({MIN_FUSE_STEPS})" \
+        in fusion.groups[0].reason
 
 
 # ----------------------------------------------------------------------
@@ -216,15 +240,6 @@ def test_fdtd_module_replays_repeated_configurations():
         {l.trace.summary()["flops"] for l in traced}
 
 
-def test_replay_disabled_by_policy_retraces_every_launch():
-    wl = Fdtd().default_workload("test")
-    with use_policy(ExecutorPolicy(module_trace_replay=False)):
-        mod = Fdtd().run_module(dict(wl))
-    assert mod.module.stats["trace_replays"] == 0
-    assert mod.module.stats["fused_launches"] == 2 * int(wl["steps"])
-    _assert_runs_identical(_sequential_run(Fdtd, wl), mod)
-
-
 def test_module_counters_reach_the_registry():
     reg = MetricsRegistry()
     with use_registry(reg):
@@ -240,17 +255,6 @@ def test_apps_without_schedule_fall_back_to_plain_run():
     mod = app.run_module(dict(wl))
     assert mod.module is None
     _assert_runs_identical(_sequential_run(ALL_APPS["saxpy"], wl), mod)
-
-
-# ----------------------------------------------------------------------
-# Executor policy knobs
-# ----------------------------------------------------------------------
-
-def test_use_policy_scopes_the_global():
-    base = get_policy()
-    with use_policy(ExecutorPolicy(min_fuse_steps=9)):
-        assert get_policy().min_fuse_steps == 9
-    assert get_policy() == base
 
 
 # ----------------------------------------------------------------------
@@ -355,10 +359,144 @@ def test_corrupt_artifact_is_discarded(tmp_path):
 
 def test_fingerprint_tracks_closure_constants():
     from repro.apps.lbm import lbm_step_kernel
-    assert kernel_fingerprint(lbm_step_kernel("aos")) != \
-        kernel_fingerprint(lbm_step_kernel("soa"))
-    assert kernel_fingerprint(lbm_step_kernel("aos")) == \
-        kernel_fingerprint(lbm_step_kernel("aos"))
+    assert lbm_step_kernel("aos").fingerprint != \
+        lbm_step_kernel("soa").fingerprint
+    assert lbm_step_kernel("aos").fingerprint == \
+        lbm_step_kernel("aos").fingerprint
+
+
+def test_fingerprint_is_stable_across_hash_seeds():
+    """Set constants are encoded in sorted order and a recursive helper
+    as a back-reference: equal content gives one key in every
+    process, whatever ``PYTHONHASHSEED`` is."""
+    script = textwrap.dedent("""\
+        from repro.cuda import kernel
+        scope = {"MODES": frozenset({"a", "bb", "ccc", "dddd"})}
+        exec("def walk(x):\\n    return walk(x - 1) if x else 0\\n"
+             "def probe(ctx, out):\\n"
+             "    ctx.st_global(out, ctx.tx, walk(len(MODES)))\\n", scope)
+        print(kernel("probe")(scope["probe"]).fingerprint)
+        """)
+    keys = {subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=SRC,
+                             PYTHONHASHSEED=seed)).stdout
+        for seed in ("1", "2", "3")}
+    assert len(keys) == 1 and len(keys.pop().strip()) == 64
+
+
+_STALE_MODULE = """\
+import numpy as np
+from repro.cuda import kernel
+
+SCALE = {scale}
+
+
+def scaled(x):
+    return {body}
+
+
+@kernel("stale_probe", regs_per_thread=4)
+def stale_probe(ctx, out, n):
+    i = ctx.global_tid()
+    with ctx.masked(i < n):
+        ctx.st_global(out, i, scaled(i.astype(np.float32)))
+"""
+
+_STALE_CHILD = """\
+import json
+import numpy as np
+from stale_kernel import stale_probe
+from repro.compile import active_artifact_cache
+from repro.cuda import Device, LaunchPlan
+
+outs = []
+for executor in ("compiled", "sequential"):
+    dev = Device()
+    out = dev.alloc(256, np.float32, "out")
+    LaunchPlan.build(stale_probe, (8,), (32,), (out, 256),
+                     device=dev).execute(executor)
+    outs.append(out.to_host())
+print(json.dumps({"stats": dict(active_artifact_cache().stats),
+                  "identical": bool(np.array_equal(*outs)),
+                  "first": float(outs[0][1])}))
+"""
+
+
+def test_edited_global_or_helper_invalidates_the_artifact(tmp_path):
+    """The fingerprint covers the module globals and helpers a kernel
+    reaches, not only its own code: editing either one invalidates
+    the artifact in a fresh process instead of loading it."""
+    src = tmp_path / "src"
+    src.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), SRC]),
+               PYTHONDONTWRITEBYTECODE="1",
+               REPRO_AOT_CACHE=str(tmp_path / "cache"))
+
+    def child(scale, body):
+        (src / "stale_kernel.py").write_text(
+            _STALE_MODULE.format(scale=scale, body=body))
+        proc = subprocess.run([sys.executable, "-c", _STALE_CHILD],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        return json.loads(proc.stdout)
+
+    populate = child("2.0", "x * SCALE")
+    assert populate["stats"]["writes"] == 1 and populate["first"] == 2.0
+    for scale, body, first in (("3.0", "x * SCALE", 3.0),
+                               ("3.0", "x * SCALE + 1.0", 4.0)):
+        run = child(scale, body)
+        assert run["stats"].get("cold_hits", 0) == 0
+        assert run["stats"]["invalidated"] == 1
+        assert run["identical"] and run["first"] == first
+
+
+def test_warm_load_imports_no_analyzer(tmp_path):
+    """A process that imports the AOT apps and warm-loads their
+    programs from disk never imports :mod:`repro.analysis`."""
+    script = textwrap.dedent("""\
+        import json, sys
+        from repro.apps.fdtd import fdtd_e_kernel, fdtd_h_kernel
+        from repro.apps.lbm import lbm_step_kernel
+        from repro.apps.mri_q import mri_q_kernel
+        from repro.compile import active_artifact_cache, get_program
+        for kern in (lbm_step_kernel("soa"), fdtd_h_kernel(),
+                     fdtd_e_kernel(), mri_q_kernel()):
+            get_program(kern, ("bench", ()))
+        print(json.dumps({
+            "stats": dict(active_artifact_cache().stats),
+            "analysis": sorted(m for m in sys.modules
+                               if m.startswith("repro.analysis"))}))
+        """)
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_AOT_CACHE=str(tmp_path))
+
+    def child():
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    assert child()["stats"]["writes"] == 4
+    warm = child()
+    assert warm["stats"] == {"cold_hits": 4}
+    assert warm["analysis"] == []
+
+
+def test_fresh_closures_of_one_kernel_lower_once(monkeypatch):
+    from repro.apps.lbm import lbm_step_kernel
+    clear_program_cache()
+    calls = []
+    real = program_mod.compile_kernel
+
+    def counting(kern):
+        calls.append(kern.name)
+        return real(kern)
+
+    monkeypatch.setattr(program_mod, "compile_kernel", counting)
+    first, second = lbm_step_kernel("aos"), lbm_step_kernel("aos")
+    assert first.fn is not second.fn
+    assert get_program(first) is get_program(second)
+    assert calls == ["lbm_step_aos"]
+    clear_program_cache()
 
 
 # ----------------------------------------------------------------------
@@ -382,4 +520,24 @@ def test_negative_cache_hits_reach_the_registry():
         assert compile_status(module_sync_in_branch)[0] is False
     assert reg.value("compile.negative_cache_hits",
                      kernel="module_sync_in_branch") >= 1
+    clear_program_cache()
+
+
+def _order_sensitive_kernel():
+    """A fresh ``batchable=False`` kernel object on every call."""
+    @kernel("module_order_sensitive", regs_per_thread=4, batchable=False)
+    def module_order_sensitive(ctx, out):
+        ctx.st_global(out, ctx.global_tid(), 1.0)
+    return module_order_sensitive
+
+
+def test_refusal_is_negatively_cached_across_kernel_objects():
+    clear_program_cache()
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        for _ in range(3):
+            ok, reason = compile_status(_order_sensitive_kernel())
+            assert not ok and "batchable=False" in reason
+    assert reg.value("compile.negative_cache_hits",
+                     kernel="module_order_sensitive") == 2
     clear_program_cache()

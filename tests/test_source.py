@@ -5,18 +5,20 @@ Pins:
 * one parse per code object: a second lint of the same app parses
   nothing, although it rebuilds every kernel;
 * closures of one code object share the tree and the memo, not the
-  closure environment or the fingerprint;
+  closure environment or the kernel fingerprint;
 * the shared tree is read-only: compiling a kernel (an in-place AST
   rewrite) and estimating its registers leave it untouched;
 * the source-unavailable fallbacks of every consumer: liveness falls
   back to the declared count, lint notes the missing source, the
-  compiled executor falls back to sequential execution and the
-  artifact fingerprint refuses.
+  compiled executor falls back to sequential execution, and the grid
+  compiler refuses the kernel once (negatively cached, no artifact).
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -27,7 +29,14 @@ from repro.analysis.liveness import estimate_registers
 from repro.analysis.rules import analyze_target
 from repro.analysis.targets import LintTarget, garr
 from repro.apps.matmul import build_kernel
-from repro.compile import CompileError, compile_kernel, kernel_fingerprint
+from repro.compile import (
+    ArtifactCache,
+    CompileError,
+    clear_program_cache,
+    compile_kernel,
+    get_program,
+    use_artifact_cache,
+)
 from repro.cuda import (
     CompiledExecutor,
     Device,
@@ -62,7 +71,7 @@ def test_closures_of_one_code_share_the_tree_not_the_env():
     assert a.fdef is b.fdef and a.memo is b.memo
     assert (a.env["tile"], a.env["unrolled"]) == (16, False)
     assert (b.env["tile"], b.env["unrolled"]) == (8, True)
-    assert a.fingerprint() != b.fingerprint()
+    assert tiled.fingerprint != unrolled.fingerprint
 
 
 def test_compiling_leaves_the_shared_tree_untouched():
@@ -117,14 +126,27 @@ def _compiled_launch_runs_sequentially():
     assert (outs[1] == 2.0).all()
 
 
-def _fingerprint_refuses():
-    with pytest.raises(CompileError, match="unavailable"):
-        kernel_fingerprint(_sourceless_kernel())
+def _compile_refuses_once():
+    """The fingerprint needs no source, so a sourceless kernel is keyed:
+    lowering refuses it, no artifact is written, and fresh copies of
+    it are answered by the negative cache."""
+    assert _sourceless_kernel().fingerprint is not None
+    clear_program_cache()
+    reg = MetricsRegistry()
+    with tempfile.TemporaryDirectory() as root, use_registry(reg), \
+            use_artifact_cache(ArtifactCache(root)) as cache:
+        for _ in range(2):
+            with pytest.raises(CompileError, match="unavailable"):
+                get_program(_sourceless_kernel(), ("bench", ()))
+        assert os.listdir(root) == [] and cache.stats["writes"] == 0
+    assert reg.value("compile.negative_cache_hits",
+                     kernel="sourceless_fill") == 1
+    clear_program_cache()
 
 
 @pytest.mark.parametrize("check", [
     _estimate_falls_back, _lint_notes_missing_source,
-    _compiled_launch_runs_sequentially, _fingerprint_refuses,
+    _compiled_launch_runs_sequentially, _compile_refuses_once,
 ], ids=["estimate", "lint", "compiled-executor", "fingerprint"])
 def test_source_unavailable_fallbacks(check):
     check()
